@@ -12,7 +12,6 @@ import json
 import os
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import CORPUS_FORMAT_VERSION, MODEL_FORMAT_VERSION, __version__
 from .corpus import (Vocab, detokenize, preprocess, preprocess_pairs,
@@ -63,26 +62,18 @@ def _decode_config(args):
                         forbid_unk=not getattr(args, "allow_unk", False))
 
 
-def _decode_corpus(params, hyper, vocab, lines, config, weights=None,
-                   jobs=1):
-    """Decode one hypothesis per input line; line order is preserved even
-    when decoding in parallel."""
-
-    def one(numbered):
-        i, line = numbered
+def _decode_corpus(params, hyper, vocab, lines, config, weights=None):
+    """Decode one hypothesis per input line, in line order."""
+    results = []
+    for i, line in enumerate(lines):
         tokens = preprocess(line)
         if not tokens:
             raise ValueError(f"input line {i + 1} is empty")
         x = vocab.encode(tokens)
         base = Scorer(params, hyper, x)
         scorer = base if weights is None else TunedScorer(base, weights)
-        return x, beam_search(scorer, config)[0]
-
-    items = list(enumerate(lines))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+        results.append((x, beam_search(scorer, config)[0]))
+    return results
 
 
 def _write_trace(path, params, hyper, results):
@@ -172,7 +163,7 @@ def cmd_decode(args):
                if args.weights is not None else None)
     lines = _read_lines(args.input)
     results = _decode_corpus(params, hyper, vocab, lines, config,
-                             weights=weights, jobs=args.jobs)
+                             weights=weights)
     _write_lines(args.out, [finalize(hyp, config, vocab)
                             for _, hyp in results])
     if args.trace is not None:
@@ -315,14 +306,12 @@ def _build_parser():
     p.add_argument("--weights", help="tuned feature weights JSON")
     p.add_argument("--trace",
                    help="write per-sentence attention rows as TSV")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="default: stdout")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("trace",
                        help="decode and export attention heatmap rows")
     add_decode_flags(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="trace TSV path")
     p.set_defaults(func=cmd_trace)
 

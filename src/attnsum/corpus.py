@@ -111,11 +111,6 @@ def _is_word(token):
     return any(ch.isalpha() for ch in token)
 
 
-def content_words(tokens):
-    """Tokens that carry a letter and are not stop words."""
-    return {t for t in tokens if _is_word(t) and t not in STOPWORDS}
-
-
 def has_edit_mark(headline_tokens):
     if not headline_tokens:
         return False

@@ -2,6 +2,16 @@
 output tokens, optionally conditioned on the input sentence by one of three
 encoders (bag-of-words, time-delay convolution, attention).
 
+The distribution is computed in one place, in two stages:
+  precompute(params, hyper, x_rows) -- the context-free encoder state of P
+    input rows: bow/conv encodings and their share of the logits, or the
+    attention encoder's input embeddings and their windowed means;
+  encode(params, hyper, pre, ctx, pair_of) -- the logits of T steps, each
+    with its own context and input row, and the cache for the backward pass.
+forward (training, loss, cond_dist) runs both per batch. Scorer (decoding,
+attention_trace, enc_attention) runs precompute once per input sentence and
+encode per decode step.
+
 Shape conventions used throughout:
   V vocab size, D embedding size, H hidden size, C context length,
   M input sentence length, P distinct input sentences in a batch,
@@ -14,6 +24,8 @@ P (H,C*D) attention bilinear map, Q1..QL (H,H*(2Q+1)) conv filters.
 A conv filter column index packs (window offset q, channel c) as q*H + c.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -22,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import MODEL_FORMAT_VERSION
 from .corpus import START_ID
-from .numerics import ParamStore, log_softmax_rows, softmax, softmax_rows
+from .numerics import ParamStore, log_softmax_rows, softmax_rows
 
 ENCODERS = ("none", "bow", "conv", "attention")
 
@@ -228,43 +240,77 @@ def _context_embed(table, ctx):
     return table[:, ctx].transpose(1, 2, 0).reshape(t, c * table.shape[0])
 
 
-def _attention_parts(params, hyper, x_rows):
-    """Input-side tensors of the attention encoder: xe, xbar of shape (P, M, H)."""
-    xe = params["F"][:, x_rows].transpose(1, 2, 0)
-    return xe, _box_mean(xe, hyper.window)
+def _runs(pair_of):
+    """[row, lo, hi] for each maximal run of equal entries of pair_of.
+
+    A plain loop: a decode step has a single short run, where numpy's
+    per-call overhead would cost more than the loop.
+    """
+    runs = []
+    for t, p in enumerate(pair_of.tolist()):
+        if runs and runs[-1][0] == p:
+            runs[-1][2] = t + 1
+        else:
+            runs.append([p, t, t + 1])
+    return runs
 
 
-def _encode_batch(params, hyper, batch):
-    """Encoder vectors for every step: (encvec (T,H), cache)."""
-    if hyper.encoder == "bow":
-        rows = _bow_rows(params, batch.x)
-        return rows[batch.pair_of], {}
-    if hyper.encoder == "conv":
-        rows, cache = _conv_rows(params, hyper, batch.x)
-        return rows[batch.pair_of], cache
-    xe, xbar = _attention_parts(params, hyper, batch.x)
-    ctx_g = _context_embed(params["G"], batch.ctx)
-    query = ctx_g @ params["P"].T  # (T, H)
-    xe_t = xe[batch.pair_of]
-    scores = np.einsum("tmh,th->tm", xe_t, query)
-    p = softmax_rows(scores)
-    encvec = np.einsum("tm,tmh->th", p, xbar[batch.pair_of])
-    return encvec, {"xe": xe, "xbar": xbar, "ctx_g": ctx_g,
-                    "query": query, "p": p}
+def precompute(params, hyper, x_rows):
+    """The context-free encoder state of the input rows x_rows (P, M).
+
+    bow/conv: `rows` (P,H) encodings, the conv layers' cache `conv`, and
+    `enc_logit` (P,V) = rows W^T + b_W, the encoder's whole share of the
+    logits. attention: `xe` (P,M,H), the input embeddings, and `xbar`, their
+    windowed mean. Every kind keeps `x`, the rows themselves.
+    """
+    pre = {"x": x_rows}
+    if hyper.encoder == "attention":
+        xe = params["F"][:, x_rows].transpose(1, 2, 0)
+        pre.update(xe=xe, xbar=_box_mean(xe, hyper.window))
+    elif hyper.encoder != "none":
+        if hyper.encoder == "bow":
+            rows, conv = _bow_rows(params, x_rows), None
+        else:
+            rows, conv = _conv_rows(params, hyper, x_rows)
+        pre.update(rows=rows, conv=conv,
+                   enc_logit=rows @ params["W"].T + params["b_W"])
+    return pre
+
+
+def encode(params, hyper, pre, ctx, pair_of):
+    """Logits (T,V) of the steps with contexts ctx (T,C), where step t reads
+    input row pair_of[t] of `pre`; returns (logits, cache for backward).
+
+    For the attention encoder the cache holds each step's attention row
+    `attn` (T,M) and encoding `encvec` (T,H).
+    """
+    ytilde = _context_embed(params["E"], ctx)
+    h = np.tanh(ytilde @ params["U"].T + params["b_U"])
+    logits = h @ params["V"].T + params["b_V"]
+    runs = _runs(pair_of)
+    cache = {"pre": pre, "ctx": ctx, "runs": runs, "ytilde": ytilde, "h": h}
+    if hyper.encoder == "attention":
+        ctx_g = _context_embed(params["G"], ctx)
+        query = ctx_g @ params["P"].T  # (T, H)
+        attn = np.empty((len(ctx), pre["xe"].shape[1]))
+        encvec = np.empty_like(query)
+        for p, lo, hi in runs:
+            attn[lo:hi] = softmax_rows(query[lo:hi] @ pre["xe"][p].T)
+            encvec[lo:hi] = attn[lo:hi] @ pre["xbar"][p]
+        logits = logits + encvec @ params["W"].T + params["b_W"]
+        cache.update(ctx_g=ctx_g, query=query, attn=attn, encvec=encvec)
+    elif hyper.encoder != "none":
+        for p, lo, hi in runs:
+            logits[lo:hi] += pre["enc_logit"][p]
+    return logits, cache
 
 
 def forward(params, hyper, batch):
     """Full forward pass; returns a cache holding the per-step log-probs."""
-    ytilde = _context_embed(params["E"], batch.ctx)
-    h = np.tanh(ytilde @ params["U"].T + params["b_U"])
-    logits = h @ params["V"].T + params["b_V"]
-    encvec, enc_cache = None, None
-    if hyper.encoder != "none":
-        encvec, enc_cache = _encode_batch(params, hyper, batch)
-        logits = logits + encvec @ params["W"].T + params["b_W"]
-    return {"ytilde": ytilde, "h": h, "logits": logits,
-            "logp": log_softmax_rows(logits), "encvec": encvec,
-            "enc": enc_cache}
+    logits, cache = encode(params, hyper, precompute(params, hyper, batch.x),
+                           batch.ctx, batch.pair_of)
+    cache["logp"] = log_softmax_rows(logits)
+    return cache
 
 
 def loss(params, hyper, batch):
@@ -285,14 +331,17 @@ def backward(params, hyper, batch):
     dlogits = np.exp(cache["logp"])  # softmax probabilities
     dlogits[steps, batch.target] -= 1.0
     h = cache["h"]
+    dbias = dlogits.sum(axis=0)
     grad("V")[...] += dlogits.T @ h
-    grad("b_V")[...] += dlogits.sum(axis=0)
+    grad("b_V")[...] += dbias
     dh = dlogits @ params["V"]
     if hyper.encoder != "none":
-        grad("W")[...] += dlogits.T @ cache["encvec"]
-        grad("b_W")[...] += dlogits.sum(axis=0)
-        _encoder_backward(params, hyper, batch, cache,
-                          dlogits @ params["W"])
+        grad("b_W")[...] += dbias
+        if hyper.encoder == "attention":
+            grad("W")[...] += dlogits.T @ cache["encvec"]
+            _attention_backward(params, hyper, cache, dlogits @ params["W"])
+        else:
+            _rows_backward(params, hyper, cache, dlogits)
 
     dpre = dh * (1.0 - h * h)
     grad("U")[...] += dpre.T @ cache["ytilde"]
@@ -304,41 +353,48 @@ def backward(params, hyper, batch):
     return nll
 
 
-def _encoder_backward(params, hyper, batch, cache, denc):
-    """Route d(loss)/d(encvec) = denc (T,H) into encoder parameter gradients."""
+def _rows_backward(params, hyper, cache, dlogits):
+    """bow/conv: every step of a row adds that row's enc_logit, so its
+    gradient is the sum of the row's dlogits, routed through W once."""
     grad = params.grad
-    n_p, m = batch.x.shape
+    pre = cache["pre"]
+    denc_logit = np.zeros_like(pre["enc_logit"])
+    for p, lo, hi in cache["runs"]:
+        denc_logit[p] += dlogits[lo:hi].sum(axis=0)
+    grad("W")[...] += denc_logit.T @ pre["rows"]
+    drows = denc_logit @ params["W"]
     if hyper.encoder == "bow":
-        drows = np.zeros((n_p, params["F"].shape[0]))
-        np.add.at(drows, batch.pair_of, denc)
-        np.add.at(grad("F"), (slice(None), batch.x), (drows.T / m)[:, :, None])
-        return
-    if hyper.encoder == "conv":
-        drows = np.zeros((n_p, hyper.hidden_dim))
-        np.add.at(drows, batch.pair_of, denc)
-        _conv_rows_backward(params, hyper, batch.x, cache["enc"], drows, grad)
-        return
-    ec = cache["enc"]
-    p, query = ec["p"], ec["query"]
-    xe_t = ec["xe"][batch.pair_of]
-    xbar_t = ec["xbar"][batch.pair_of]
-    dp = np.einsum("th,tmh->tm", denc, xbar_t)
-    dxbar_t = p[:, :, None] * denc[:, None, :]
-    # softmax backward over input positions
-    dscores = p * (dp - (p * dp).sum(axis=1, keepdims=True))
-    dquery = np.einsum("tm,tmh->th", dscores, xe_t)
-    dxe_t = dscores[:, :, None] * query[:, None, :]
-    grad("P")[...] += dquery.T @ ec["ctx_g"]
+        m = pre["x"].shape[1]
+        np.add.at(grad("F"), (slice(None), pre["x"]),
+                  (drows.T / m)[:, :, None])
+    else:
+        _conv_rows_backward(params, hyper, pre["x"], pre["conv"], drows, grad)
+
+
+def _attention_backward(params, hyper, cache, denc):
+    """Route d(loss)/d(encvec) = denc (T,H) into P, G and F, one run of
+    steps sharing an input row at a time."""
+    grad = params.grad
+    pre, attn, query = cache["pre"], cache["attn"], cache["query"]
+    xe, xbar = pre["xe"], pre["xbar"]
+    dquery = np.empty_like(query)
+    dxe, dxbar = np.zeros(xe.shape), np.zeros(xbar.shape)
+    for p, lo, hi in cache["runs"]:
+        a, d = attn[lo:hi], denc[lo:hi]
+        da = d @ xbar[p].T
+        # softmax backward over input positions
+        dscores = a * (da - (a * da).sum(axis=1, keepdims=True))
+        dquery[lo:hi] = dscores @ xe[p]
+        dxe[p] += dscores.T @ query[lo:hi]
+        dxbar[p] += a.T @ d
+    grad("P")[...] += dquery.T @ cache["ctx_g"]
     dctx_g = dquery @ params["P"]
-    t, d = len(batch.target), hyper.embed_dim
-    np.add.at(grad("G"), (slice(None), batch.ctx),
+    ctx = cache["ctx"]
+    t, d = ctx.shape[0], hyper.embed_dim
+    np.add.at(grad("G"), (slice(None), ctx),
               dctx_g.reshape(t, hyper.context_size, d).transpose(2, 0, 1))
-    dxbar = np.zeros_like(ec["xbar"])
-    np.add.at(dxbar, batch.pair_of, dxbar_t)
-    dxe = np.zeros_like(ec["xe"])
-    np.add.at(dxe, batch.pair_of, dxe_t)
     dxe += _box_mean(dxbar, hyper.window)  # box mean is self-adjoint
-    np.add.at(grad("F"), (slice(None), batch.x), dxe.transpose(2, 0, 1))
+    np.add.at(grad("F"), (slice(None), pre["x"]), dxe.transpose(2, 0, 1))
 
 
 def cond_dist(params, hyper, x, y_c):
@@ -373,21 +429,15 @@ def enc_conv(params, hyper, x, activation=np.tanh):
 def enc_attention(params, hyper, x, y_c):
     """Context-dependent encoding (p^T xbar, p): p is softmax over positions
     of the bilinear scores xe_i . (P ytilde'_c); xbar is the windowed mean of xe."""
-    x = _check_ids(x, hyper.vocab_size, "input ids")
-    y_c = _check_ids(y_c, hyper.vocab_size, "context ids")
-    if x.size == 0:
-        raise ValueError("empty input")
-    xe, xbar = _attention_parts(params, hyper, x[None, :])
-    query = (_context_embed(params["G"], y_c[None, :]) @ params["P"].T)[0]
-    p = softmax(xe[0] @ query)
-    return p @ xbar[0], p
+    cache = Scorer(params, hyper, x)._encode([y_c])[1]
+    return cache["encvec"][0], cache["attn"][0]
 
 
 class Scorer:
     """Next-token log-probabilities for one input sentence.
 
-    Precomputes everything independent of the output context so a decode step
-    can score K candidate contexts with one mini-batch of matrix products.
+    precompute runs once, in the constructor, so a decode step only runs
+    encode on its K candidate contexts: one mini-batch of matrix products.
     """
 
     def __init__(self, params, hyper, x):
@@ -397,20 +447,7 @@ class Scorer:
         self.x = _check_ids(x, hyper.vocab_size, "input ids")
         if self.x.ndim != 1 or self.x.size == 0:
             raise ValueError("input must be a nonempty id sequence")
-        self._xe = self._xbar = None
-        self._enc_logit = None
-        if hyper.encoder == "bow":
-            enc = _bow_rows(params, self.x[None, :])[0]
-        elif hyper.encoder == "conv":
-            enc = _conv_rows(params, hyper, self.x[None, :])[0][0]
-        elif hyper.encoder == "attention":
-            xe, xbar = _attention_parts(params, hyper, self.x[None, :])
-            self._xe, self._xbar = xe[0], xbar[0]
-            enc = None
-        else:
-            enc = None
-        if enc is not None:
-            self._enc_logit = params["W"] @ enc + params["b_W"]
+        self._pre = precompute(params, hyper, self.x[None, :])
 
     @property
     def vocab_size(self):
@@ -420,32 +457,23 @@ class Scorer:
     def context_size(self):
         return self.hyper.context_size
 
-    def _logits(self, contexts):
+    def _encode(self, contexts):
+        """encode() of contexts (K, C) against this sentence."""
         contexts = _check_ids(contexts, self.hyper.vocab_size, "context ids")
         if contexts.ndim != 2 or contexts.shape[1] != self.hyper.context_size:
             raise ValueError("contexts must have shape (K, C)")
-        params = self.params
-        ytilde = _context_embed(params["E"], contexts)
-        h = np.tanh(ytilde @ params["U"].T + params["b_U"])
-        logits = h @ params["V"].T + params["b_V"]
-        if self._enc_logit is not None:
-            logits = logits + self._enc_logit
-        elif self._xe is not None:
-            encvec = self.attention(contexts) @ self._xbar
-            logits = logits + encvec @ params["W"].T + params["b_W"]
-        return logits
+        return encode(self.params, self.hyper, self._pre, contexts,
+                      np.zeros(len(contexts), dtype=np.int64))
 
     def step_scores(self, contexts):
         """Log p(next | context, x) for contexts (K, C): shape (K, V)."""
-        return log_softmax_rows(self._logits(contexts))
+        return log_softmax_rows(self._encode(contexts)[0])
 
     def attention(self, contexts):
         """Attention rows p (K, M) for contexts (K, C); attention encoder only."""
-        if self._xe is None:
+        if self.hyper.encoder != "attention":
             raise ValueError("attention weights require the attention encoder")
-        contexts = _check_ids(contexts, self.hyper.vocab_size, "context ids")
-        query = _context_embed(self.params["G"], contexts) @ self.params["P"].T
-        return softmax_rows(query @ self._xe.T)
+        return self._encode(contexts)[1]["attn"]
 
 
 def attention_trace(params, hyper, x, y):
@@ -459,11 +487,16 @@ def _write_u32(fh, *values):
     fh.write(struct.pack(f"<{len(values)}I", *values))
 
 
+def _remaining(fh):
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n):
-    data = fh.read(n)
-    if len(data) != n:
+    """n bytes of fh; checked against the file's size first, so a corrupt
+    length field cannot ask for more memory than the file holds."""
+    if n > _remaining(fh):
         raise ValueError("truncated model file")
-    return data
+    return fh.read(n)
 
 
 def _read_u32(fh, count=1):
@@ -507,41 +540,54 @@ def _read_header(fh):
     return version, hyper.validate()
 
 
+def _read_model(path, payloads):
+    """(format version, hyperparams, tensors) of a model file.
+
+    Every record is checked against the header: the file must hold each
+    tensor its hyperparams imply, once, with the implied shape, and end
+    right after the last payload. tensors maps each name to its array, or
+    to its shape when payloads is false; the payloads are then skipped.
+    """
+    with open(path, "rb") as fh:
+        version, hyper = _read_header(fh)
+        expected = param_shapes(hyper)
+        if _read_u32(fh) != len(expected):
+            raise ValueError("model file tensors do not match its hyperparams")
+        tensors = {}
+        for _ in range(len(expected)):
+            name = _read_exact(fh, _read_u32(fh)).decode("utf-8")
+            if name not in expected or name in tensors:
+                raise ValueError("model file tensors do not match its "
+                                 "hyperparams")
+            ndim = _read_u32(fh)
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
+            if shape != expected[name]:
+                raise ValueError(f"tensor {name} has shape {shape}, "
+                                 f"expected {expected[name]}")
+            nbytes = 8 * math.prod(shape)
+            if payloads:
+                tensors[name] = np.frombuffer(_read_exact(fh, nbytes),
+                                              dtype="<f8").reshape(shape)
+            elif nbytes > _remaining(fh):
+                raise ValueError("truncated model file")
+            else:
+                fh.seek(nbytes, 1)
+                tensors[name] = shape
+        if _remaining(fh):
+            raise ValueError("trailing bytes after the last tensor")
+    return version, hyper, tensors
+
+
 def load_model(path):
     """Read a saved model back: (ParamStore, Hyperparams)."""
-    with open(path, "rb") as fh:
-        _, hyper = _read_header(fh)
-        tensors = {}
-        for _ in range(_read_u32(fh)):
-            name = _read_exact(fh, _read_u32(fh)).decode("utf-8")
-            ndim = _read_u32(fh)
-            shape = tuple(np.atleast_1d(_read_u32(fh, ndim)).tolist()) \
-                if ndim else ()
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            payload = _read_exact(fh, 8 * count)
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
-    expected = param_shapes(hyper)
-    if set(tensors) != set(expected):
-        raise ValueError("model file tensors do not match its hyperparams")
+    _, hyper, tensors = _read_model(path, payloads=True)
     params = ParamStore()
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise ValueError(f"tensor {name} has shape {tensors[name].shape}, "
-                             f"expected {shape}")
+    for name in param_shapes(hyper):
         params.register(name, tensors[name].astype(np.float64))
     return params, hyper
 
 
 def read_model_header(path):
     """Header summary without loading payloads: hyperparams plus tensor shapes."""
-    with open(path, "rb") as fh:
-        version, hyper = _read_header(fh)
-        shapes = {}
-        for _ in range(_read_u32(fh)):
-            name = _read_exact(fh, _read_u32(fh)).decode("utf-8")
-            ndim = _read_u32(fh)
-            dims = _read_u32(fh, ndim) if ndim else ()
-            shape = tuple(np.atleast_1d(dims).tolist()) if ndim else ()
-            fh.seek(8 * int(np.prod(shape, dtype=np.int64) if shape else 1), 1)
-            shapes[name] = shape
+    version, hyper, shapes = _read_model(path, payloads=False)
     return {"format_version": version, "hyperparams": hyper, "tensors": shapes}

@@ -49,38 +49,6 @@ def log_softmax_rows(m):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def affine(w, x, b):
-    """w @ x + b for w (out, in), x (in,), b (out,)."""
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ValueError("affine expects matrix, vector, vector")
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"affine shape mismatch: w {w.shape}, x {x.shape}, b {b.shape}")
-    return w @ x + b
-
-
-def affine_backward(grad_out, w, x):
-    """Gradients of y = w @ x + b: returns (dw, dx, db)."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    dw = np.outer(grad_out, x)
-    dx = w.T @ grad_out
-    db = grad_out.copy()
-    return dw, dx, db
-
-
-def tanh_elem(v):
-    """Elementwise tanh."""
-    return np.tanh(np.asarray(v, dtype=np.float64))
-
-
-def tanh_backward(grad_out, out):
-    """dL/dx for out = tanh(x), given out (not x): grad_out * (1 - out^2)."""
-    return grad_out * (1.0 - out * out)
-
-
 class ParamStore:
     """Named map of parameter tensors with same-shape gradient accumulators.
 

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -184,12 +185,11 @@ def test_decode_is_deterministic_and_parallel_safe(tmp_path, capsys):
     inp.write_text("alpha bravo carol\ncarol delta eagle frost\n" * 3,
                    encoding="utf-8")
     outs = []
-    for jobs in ("1", "2", "1"):
-        dec = tmp_path / f"dec-{len(outs)}.txt"
+    for run in range(3):
+        dec = tmp_path / f"dec-{run}.txt"
         assert main(["decode", "--model", str(out / "final.model"),
                      "--vocab", str(voc), "--input", str(inp), "--N", "3",
-                     "--beam", "4", "--jobs", jobs,
-                     "--out", str(dec)]) == 0
+                     "--beam", "4", "--out", str(dec)]) == 0
         outs.append(dec.read_bytes())
     assert outs[0] == outs[1] == outs[2]
     capsys.readouterr()
@@ -349,6 +349,35 @@ def test_describe_prints_header(tmp_path, capsys):
     assert "encoder attention" in out
     assert "vocab_size 8" in out
     assert "E 3x8" in out
+
+
+def _damage_model(data, damage):
+    if damage == "trailing bytes":
+        return data + b"\x00" * 8
+    if damage == "truncated payload":
+        return data[:-8]  # inside the last tensor's payload
+    # hidden_dim follows the magic, version, encoder name, V and D
+    at = 12 + len(b"attention") + 8
+    return data[:at] + struct.pack("<I", 2 ** 30) + data[at + 4:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("trailing bytes", "trailing bytes"),
+    ("truncated payload", "truncated"),
+    ("header contradicts tensors", "tensor F has shape (4, 8)"),
+])
+def test_malformed_model_file_is_a_data_error(tmp_path, damage, message):
+    mpath, vpath, *_ = save_toy_model(tmp_path)
+    mpath.write_bytes(_damage_model(mpath.read_bytes(), damage))
+    inp = tmp_path / "input.txt"
+    inp.write_text("alpha bravo\n", encoding="utf-8")
+    for args in (["decode", "--model", str(mpath), "--vocab", str(vpath),
+                  "--input", str(inp), "--N", "2"],
+                 ["describe", "--model", str(mpath)]):
+        proc = run_tool([sys.executable, "-m", "attnsum"] + args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert f"error: {message}" in proc.stderr, args
+        assert "Traceback" not in proc.stderr, args
 
 
 def biased_model_files(tmp_path):

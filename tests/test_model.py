@@ -400,6 +400,21 @@ def test_scorer_matches_cond_dist():
             assert np.allclose(logp[k], direct, atol=1e-10)
 
 
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_scorer_matches_scalar_oracle(encoder):
+    rng = np.random.default_rng(14)
+    hyper = tiny_hyper(encoder)
+    params = init_params(hyper, 15)
+    x = rng.integers(0, 20, size=6)
+    contexts = rng.integers(0, 20, size=(4, 2))
+    logp = Scorer(params, hyper, x).step_scores(contexts)
+    for k in range(4):
+        for y_next in range(20):
+            want = oracle_log_prob(params, hyper, x, contexts[k], y_next)
+            assert math.isclose(logp[k, y_next], want, rel_tol=0,
+                                abs_tol=1e-10)
+
+
 def test_attention_trace_rows_are_distributions():
     hyper = tiny_hyper("attention")
     params = init_params(hyper, 13)

@@ -5,13 +5,9 @@ import pytest
 
 from attnsum.numerics import (
     ParamStore,
-    affine,
-    affine_backward,
     finite_diff_grad,
     relative_grad_error,
     softmax,
-    tanh_backward,
-    tanh_elem,
 )
 
 
@@ -81,80 +77,6 @@ def test_finite_diff_constant_loss():
     store.register("a", np.arange(6.0).reshape(2, 3))
     grads = finite_diff_grad(lambda p: 7.5, store)
     np.testing.assert_array_equal(grads["a"], np.zeros((2, 3)))
-
-
-def test_affine_identity():
-    x = np.array([1.0, -2.0, 0.5])
-    out = affine(np.eye(3), x, np.zeros(3))
-    np.testing.assert_array_equal(out, x)
-
-
-def test_affine_shape_mismatch():
-    with pytest.raises(ValueError):
-        affine(np.zeros((2, 3)), np.zeros(4), np.zeros(2))
-    with pytest.raises(ValueError):
-        affine(np.zeros((2, 3)), np.zeros(3), np.zeros(5))
-
-
-def test_tanh_at_zero():
-    np.testing.assert_array_equal(tanh_elem([0.0]), [0.0])
-    # derivative at 0 is 1
-    np.testing.assert_allclose(tanh_backward(np.array([1.0]), tanh_elem([0.0])), [1.0])
-
-
-def test_affine_backward_vs_finite_diff():
-    rng = np.random.default_rng(7)
-    w = rng.normal(size=(3, 4))
-    x = rng.normal(size=4)
-    b = rng.normal(size=3)
-    grad_out = rng.normal(size=3)
-
-    store = ParamStore()
-    store.register("w", w)
-    store.register("x", x)
-    store.register("b", b)
-
-    def loss(p):
-        return float(grad_out @ affine(p["w"], p["x"], p["b"]))
-
-    num = finite_diff_grad(loss, store)
-    dw, dx, db = affine_backward(grad_out, w, x)
-    np.testing.assert_allclose(dw, num["w"], atol=1e-6)
-    np.testing.assert_allclose(dx, num["x"], atol=1e-6)
-    np.testing.assert_allclose(db, num["b"], atol=1e-6)
-
-
-def test_primitive_backward_property_many_seeds():
-    # chained affine -> tanh -> affine -> weighted sum, random shapes
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        n_in = int(rng.integers(1, 6))
-        n_mid = int(rng.integers(1, 6))
-        n_out = int(rng.integers(1, 6))
-        store = ParamStore()
-        store.register("w1", rng.normal(size=(n_mid, n_in)))
-        store.register("b1", rng.normal(size=n_mid))
-        store.register("w2", rng.normal(size=(n_out, n_mid)))
-        store.register("b2", rng.normal(size=n_out))
-        store.register("x", rng.normal(size=n_in))
-        weights = rng.normal(size=n_out)
-
-        def loss(p):
-            mid = tanh_elem(affine(p["w1"], p["x"], p["b1"]))
-            out = affine(p["w2"], mid, p["b2"])
-            return float(weights @ out)
-
-        num = finite_diff_grad(loss, store)
-
-        mid_pre = affine(store["w1"], store["x"], store["b1"])
-        mid = tanh_elem(mid_pre)
-        dw2, dmid, db2 = affine_backward(weights, store["w2"], mid)
-        dpre = tanh_backward(dmid, mid)
-        dw1, dx, db1 = affine_backward(dpre, store["w1"], store["x"])
-
-        for name, analytic in [("w1", dw1), ("b1", db1), ("w2", dw2),
-                               ("b2", db2), ("x", dx)]:
-            assert relative_grad_error(analytic, num[name]) < 1e-4, (seed, name)
 
 
 def test_param_store_contract():
