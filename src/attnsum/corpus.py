@@ -123,11 +123,6 @@ def has_edit_mark(headline_tokens):
     return False
 
 
-def filter_pair(article_tokens, headline_tokens, stopwords=STOPWORDS):
-    """True to keep the pair, False to discard. Pure function of the tokens."""
-    return which_filter(article_tokens, headline_tokens, stopwords) is None
-
-
 def which_filter(article_tokens, headline_tokens, stopwords=STOPWORDS):
     """None if the pair passes, else the 1-based index of the first failing filter."""
     art = {t for t in article_tokens if _is_word(t) and t not in stopwords}

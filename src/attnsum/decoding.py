@@ -7,9 +7,13 @@ All decoders consume a scorer bound to one input sentence. A scorer exposes
 per-candidate scores; the model's log-probability scorer and the tuned
 log-linear scorer both fit this shape, so every decoder works with either.
 
-Scores are compared as exact floats. Ties are broken toward the
-lexicographically smallest token sequence, which for a single hypothesis
-set means the lowest next-token id.
+Scores are compared as exact floats. Beam search ranks a step's candidates
+in one total order: descending score, exact ties broken toward the
+lexicographically smallest token sequence (parent tokens plus the new
+token), which for a single hypothesis set means the lowest next-token id.
+The key is unique within a step, since the parents' contexts, and so their
+token sequences, are distinct: the order is total, and the decoded output
+depends on the scores alone. A NaN score ranks below every number.
 """
 
 from dataclasses import dataclass
@@ -54,17 +58,17 @@ class DecodeConfig:
 
 
 def candidate_ids(scorer, config):
-    """The candidate set S: the whole vocabulary, or the input's token types
-    in extractive mode. The synthetic start and pad symbols are never
-    generation candidates; UNK is excluded unless forbid_unk is off."""
+    """The candidate set S, ascending: the whole vocabulary, or the input's
+    token types in extractive mode. The synthetic start and pad symbols are
+    never generation candidates; UNK is excluded unless forbid_unk is off."""
     if config.mode == "extractive":
-        pool = sorted({int(t) for t in scorer.x})
+        mask = np.zeros(scorer.vocab_size, dtype=bool)
+        mask[scorer.x] = True
     else:
-        pool = range(scorer.vocab_size)
-    banned = {START_ID, PAD_ID}
-    if config.forbid_unk:
-        banned.add(UNK_ID)
-    ids = np.array([i for i in pool if i not in banned], dtype=np.int64)
+        mask = np.ones(scorer.vocab_size, dtype=bool)
+    banned = (START_ID, PAD_ID) + ((UNK_ID,) if config.forbid_unk else ())
+    mask[[i for i in banned if i < scorer.vocab_size]] = False
+    ids = np.flatnonzero(mask).astype(np.int64, copy=False)
     if ids.size == 0:
         raise ValueError("empty candidate set")
     return ids
@@ -75,26 +79,43 @@ def _initial(context_size):
                       context=(START_ID,) * context_size)
 
 
-def _ranked(flat, beam, cands):
-    """Indices into the flattened (hypothesis, candidate) score matrix,
-    ordered by descending score with exact ties in lexicographic token-
-    sequence order. The stable sort already yields (parent rank, candidate)
-    order, so only genuine float ties need the tuple comparison."""
-    order = np.argsort(-flat, kind="stable")
+def _ranked(flat, beam, cands, want):
+    """Indices into the flattened (hypothesis, candidate) score matrix, in
+    the decoder's total order: descending score, exact ties by the token
+    sequence beam[k].tokens + (token,) ascending.
+
+    Lazy: the first slice holds the `want` best scores and every score tied
+    with the want-th, found by partial selection, and only that slice is
+    sorted. When recombination uses it up, the cut doubles and the next
+    slice holds only the scores below the previous cut. Parents are
+    distinct sequences of one length, so the tie key compares parents in
+    lexicographic order first, then token ids.
+    """
     n_c = len(cands)
-    ranked = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and flat[order[j + 1]] == flat[order[i]]:
-            j += 1
-        run = order[i:j + 1]
-        if len(run) > 1:
-            run = sorted(run, key=lambda idx: beam[idx // n_c].tokens
-                         + (int(cands[idx % n_c]),))
-        ranked.extend(int(r) for r in run)
-        i = j + 1
-    return ranked
+    parent_rank = np.empty(len(beam), dtype=np.int64)
+    parent_rank[sorted(range(len(beam)), key=lambda k: beam[k].tokens)] = \
+        np.arange(len(beam))
+    work = -flat  # partitioned in place, NaN last, as the cut widens
+    prev = None
+    cut = want
+    while True:
+        if cut < flat.size:
+            work.partition(cut - 1)
+            bound = -work[cut - 1]  # the cut-th best score
+        else:
+            bound = np.nan
+        last = np.isnan(bound)  # the cut reaches past the last number
+        mask = np.ones(flat.size, dtype=bool) if last else flat >= bound
+        if prev is not None:
+            mask &= ~(flat >= prev)
+        idx = np.flatnonzero(mask)
+        order = np.lexsort((cands[idx % n_c], parent_rank[idx // n_c],
+                            -flat[idx]))
+        yield from idx[order].tolist()
+        if last:
+            return
+        prev = bound
+        cut *= 2
 
 
 def beam_search(scorer, config, step_hook=None):
@@ -109,11 +130,12 @@ def beam_search(scorer, config, step_hook=None):
     beam = [_initial(scorer.context_size)]
     for step in range(config.length):
         ctx = np.array([h.context for h in beam], dtype=np.int64)
-        scores = scorer.step_scores(ctx)[:, cands]
-        flat = (np.array([h.score for h in beam])[:, None] + scores).ravel()
+        flat = scorer.step_scores(ctx)[:, cands]
+        flat += np.array([h.score for h in beam])[:, None]
+        flat = flat.ravel()
         seen = set()
         next_beam = []
-        for idx in _ranked(flat, beam, cands):
+        for idx in _ranked(flat, beam, cands, config.beam):
             k, ci = divmod(idx, len(cands))
             parent = beam[k]
             token = int(cands[ci])

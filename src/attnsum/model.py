@@ -565,11 +565,13 @@ def _read_model(path, payloads):
                 raise ValueError(f"tensor {name} has shape {shape}, "
                                  f"expected {expected[name]}")
             nbytes = 8 * math.prod(shape)
-            if payloads:
-                tensors[name] = np.frombuffer(_read_exact(fh, nbytes),
-                                              dtype="<f8").reshape(shape)
-            elif nbytes > _remaining(fh):
+            if nbytes > _remaining(fh):
                 raise ValueError("truncated model file")
+            if payloads:
+                # read straight into the array that becomes the parameter
+                tensors[name] = np.empty(shape, dtype="<f8")
+                if fh.readinto(tensors[name]) != nbytes:
+                    raise ValueError("truncated model file")
             else:
                 fh.seek(nbytes, 1)
                 tensors[name] = shape
@@ -583,7 +585,7 @@ def load_model(path):
     _, hyper, tensors = _read_model(path, payloads=True)
     params = ParamStore()
     for name in param_shapes(hyper):
-        params.register(name, tensors[name].astype(np.float64))
+        params.register(name, tensors[name])
     return params, hyper
 
 

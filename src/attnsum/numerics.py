@@ -102,9 +102,6 @@ class ParamStore:
             out._grads[name] = self._grads[name].copy()
         return out
 
-    def n_values(self):
-        return sum(v.size for v in self._params.values())
-
 
 def finite_diff_grad(loss_fn, params, eps=1e-5):
     """Central-difference gradient of loss_fn at params, per coordinate.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attnsum.corpus import START_ID, Vocab
+from attnsum.corpus import PAD_ID, START_ID, UNK_ID, Vocab
 from attnsum.decoding import (
     DecodeConfig,
     Hypothesis,
@@ -100,6 +100,97 @@ GOLDEN_BEAMS = {
 @pytest.mark.parametrize("encoder, mode", sorted(GOLDEN_BEAMS))
 def test_golden_decode(encoder, mode):
     assert golden_beam(encoder, mode, 5) == GOLDEN_BEAMS[encoder, mode]
+
+
+class LevelScorer:
+    """Integer-valued scores, so that exact ties are common: each context's
+    row holds `levels` distinct values, drawn by a generator seeded with the
+    context, or with the seed alone when context_free."""
+
+    def __init__(self, vocab, context, levels, seed, x, context_free):
+        self.vocab_size = vocab
+        self.context_size = context
+        self.levels = levels
+        self.seed = seed
+        self.x = np.asarray(x, dtype=np.int64)
+        self.context_free = context_free
+
+    def step_scores(self, contexts):
+        rows = []
+        for ctx in np.asarray(contexts):
+            key = [self.seed] + ([] if self.context_free else ctx.tolist())
+            rows.append(np.random.default_rng(key).integers(
+                0, self.levels, self.vocab_size))
+        return np.array(rows, dtype=np.float64)
+
+
+def sorted_beam(scorer, config):
+    """Beam search by brute force: each step fully sorts all K*|S|
+    expansions by (-score, token sequence) and keeps the first `beam` with
+    distinct contexts. Returns the per-step beams as (tokens, score,
+    context), and per step how far down the sorted list the beam reached
+    and how long its first cut is: the beam-th best score's tie run
+    included."""
+    if config.mode == "extractive":
+        pool = sorted(set(scorer.x.tolist()))
+    else:
+        pool = range(scorer.vocab_size)
+    banned = {START_ID, PAD_ID} | ({UNK_ID} if config.forbid_unk else set())
+    cands = [t for t in pool if t not in banned]
+    beam = [((), 0.0, (START_ID,) * scorer.context_size)]
+    steps, reach = [], []
+    for _ in range(config.length):
+        rows = scorer.step_scores(np.array([h[2] for h in beam]))
+        expansions = sorted(
+            (-(score + float(rows[k][t])), tokens + (t,), ctx[1:] + (t,))
+            for k, (tokens, score, ctx) in enumerate(beam) for t in cands)
+        cut_score = expansions[min(config.beam, len(expansions)) - 1][0]
+        first_cut = sum(1 for e in expansions if e[0] <= cut_score)
+        seen, kept = set(), []
+        for pos, (neg, tokens, ctx) in enumerate(expansions):
+            if ctx in seen:
+                continue
+            seen.add(ctx)
+            kept.append((tokens, -neg, ctx))
+            if len(kept) == config.beam:
+                break
+        beam = kept
+        steps.append(beam)
+        reach.append((pos + 1, first_cut, len(expansions)))
+    return steps, reach
+
+
+@pytest.mark.parametrize("mode", ["abstractive", "extractive"])
+def test_beam_matches_fully_sorted_oracle(mode):
+    """beam_search against the brute-force sort on tie-heavy scores: every
+    step's beam, exact-tie order included."""
+    used_up_first_cut = wider_than_expansions = 0
+    case = 0
+    for vocab in (8, 20, 60, 300):
+        for levels in range(1, 8):
+            for context in (1, 2, 3):
+                for beam in (1, 3, 8, 17):
+                    case += 1
+                    rng = np.random.default_rng(case)
+                    x = rng.integers(0, vocab, size=int(rng.integers(1, 9)))
+                    scorer = LevelScorer(vocab, context, levels, case, x,
+                                         context_free=case % 3 == 0)
+                    config = DecodeConfig(length=4, beam=beam, mode=mode,
+                                          forbid_unk=case % 2 == 0)
+                    try:
+                        candidate_ids(scorer, config)
+                    except ValueError:
+                        continue  # the input holds only reserved ids
+                    got = []
+                    beam_search(scorer, config,
+                                step_hook=lambda s, b: got.append(
+                                    [(h.tokens, h.score, h.context)
+                                     for h in b]))
+                    want, reach = sorted_beam(scorer, config)
+                    assert got == want, (vocab, levels, context, beam)
+                    used_up_first_cut += sum(r > f for r, f, _ in reach)
+                    wider_than_expansions += sum(beam > n for _, _, n in reach)
+    assert used_up_first_cut and wider_than_expansions
 
 
 def test_beam_k1_equals_greedy():

@@ -449,7 +449,10 @@ def test_model_file_roundtrip(encoder, tmp_path):
     assert hyper2 == hyper
     assert sorted(loaded.names()) == sorted(params.names())
     for name in params.names():
-        assert np.array_equal(loaded[name], params[name])
+        arr = loaded[name]
+        assert np.array_equal(arr, params[name])
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.writeable
     header = read_model_header(path)
     assert header["format_version"] == 1
     assert header["hyperparams"] == hyper

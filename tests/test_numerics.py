@@ -92,4 +92,3 @@ def test_param_store_contract():
     dup["a"] = np.full((2, 2), 9.0)
     np.testing.assert_array_equal(store["a"], np.ones((2, 2)))
     assert store.names() == ["a"]
-    assert store.n_values() == 4
