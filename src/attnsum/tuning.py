@@ -19,12 +19,20 @@ Because each candidate's score is linear in alpha, tuning does Och-style
 line search: along a direction, every K-best entry is a line alpha_c +
 gamma * b_c, the per-sentence argmax is piecewise constant in gamma, and the
 corpus metric (a mean of per-sentence scores) can be evaluated exactly on
-every linear region. Moves are only accepted when a full re-decode of the
-dev set strictly improves the true metric, so the tuner never returns
-weights worse than its initialization.
+every linear region. Each distinct weight vector is decoded once: that
+pass over the dev set gives its K-best lists (per hypothesis, the feature
+sums and the instance metric), whose top entries give the true dev metric
+and whose entries feed the next line search. A move is only accepted when
+the trial weights' own decode strictly improves the true metric, so the
+tuner never returns weights worse than its initialization.
+
+The K-best feature sums come from the sentence's own TunedScorer.
+`sequence_features` and the scalar `features` recompute them from scratch;
+they are the oracles the tests hold the tuner to, bit for bit.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,17 +66,51 @@ class FeatureWeights:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(np.array([d[name] for name in FEATURE_NAMES]))
+        """Weights from a mapping of exactly the feature names to real
+        numbers; anything else raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("weights must be a JSON object, not "
+                             f"{type(d).__name__}")
+        if set(d) != set(FEATURE_NAMES):
+            raise ValueError(f"weights must name exactly {FEATURE_NAMES}, "
+                             f"not {tuple(sorted(d))}")
+        alpha = []
+        for name in FEATURE_NAMES:
+            value = d[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"weight {name!r} must be a number, "
+                                 f"not {value!r}")
+            try:
+                alpha.append(float(value))
+            except OverflowError:
+                raise ValueError(f"weight {name!r} is out of range") from None
+        return cls(np.array(alpha))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        """Write the JSON to a temp file beside `path`, then os.replace it
+        into place: a failed write leaves any earlier file intact."""
+        path = os.fspath(path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            d = json.load(fh)
+        try:
+            return cls.from_dict(d)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def features(y_next, x, y_c, logp):
@@ -149,13 +191,12 @@ class TunedScorer:
     def context_size(self):
         return self._base.context_size
 
-    def step_scores(self, contexts):
-        contexts = np.asarray(contexts, dtype=np.int64)
-        logp = self._base.step_scores(contexts)
-        k, v = logp.shape
-        big = np.zeros((k, v))
-        tri = np.zeros((k, v))
-        reorder = np.zeros((k, v))
+    def _indicators(self, contexts):
+        """Bigram, trigram and reorder indicators of every next token after
+        each context of contexts (K, C): three (K, V) matrices of 0/1."""
+        k = len(contexts)
+        big = np.zeros((k, self.vocab_size))
+        tri = np.zeros((k, self.vocab_size))
         for r in range(k):
             prev1 = int(contexts[r, -1])
             ids = self._follow.get(prev1)
@@ -165,79 +206,155 @@ class TunedScorer:
                 ids = self._follow2.get((int(contexts[r, -2]), prev1))
                 if ids is not None:
                     tri[r, ids] = 1.0
-            reorder[r] = self._minpos < self._maxpos[prev1]
+        reorder = (self._minpos[None, :]
+                   < self._maxpos[contexts[:, -1]][:, None]).astype(np.float64)
+        return big, tri, reorder
+
+    def step_scores(self, contexts):
+        contexts = np.asarray(contexts, dtype=np.int64)
+        logp = self._base.step_scores(contexts)
+        big, tri, reorder = self._indicators(contexts)
         a = self.weights.alpha
         return (a[0] * logp + a[1] * self._uni[None, :]
                 + a[2] * big + a[3] * tri + a[4] * reorder)
 
+    def feature_sums(self, y):
+        """Position-summed feature vector of a complete candidate y, equal
+        bit for bit to sequence_features(y, x, params, hyper): the base
+        scorer scores the same (N, C) context windows, and the sums run in
+        position order."""
+        y = np.asarray(y, dtype=np.int64)
+        contexts = model.context_windows(y, self.context_size)
+        logp = self._base.step_scores(contexts)
+        big, tri, reorder = self._indicators(contexts)
+        steps = np.arange(len(y))
+        per_step = np.stack([logp[steps, y], self._uni[y], big[steps, y],
+                             tri[steps, y], reorder[steps, y]], axis=1)
+        total = np.zeros(N_FEATURES)
+        for row in per_step:
+            total += row
+        return total
 
-def _decode_best(params, hyper, x, weights, config):
-    scorer = TunedScorer(model.Scorer(params, hyper, x), weights)
-    return beam_search(scorer, config)[0].tokens
+
+def _decode_dev(params, hyper, dev, weights, config):
+    """One decode of the dev set under `weights`: per (input ids,
+    references) pair, the input, its final beam (best first) and the
+    references. Scorers are not kept: at a large vocabulary each holds
+    several V-sized arrays."""
+    decoded = []
+    for x, refs in dev:
+        scorer = TunedScorer(model.Scorer(params, hyper, x), weights)
+        decoded.append((x, beam_search(scorer, config), refs))
+    return decoded
+
+
+def _instance_metric(vocab, hyp, refs, config, metric):
+    inst = EvalInstance(candidate=vocab.decode(hyp.tokens), references=refs)
+    return instance_score(inst, metric, byte_cap=config.byte_cap)
+
+
+def _dev_metric(decoded, vocab, config, metric):
+    """Mean metric of each sentence's best hypothesis."""
+    scores = [_instance_metric(vocab, beam[0], refs, config, metric)
+              for _, beam, refs in decoded]
+    return sum(scores) / len(scores)
 
 
 def dev_score(params, hyper, vocab, dev, weights, config, metric):
     """True corpus metric of the tuned decoder on (input ids, references)
     dev pairs; this is the quantity mert_tune maximizes."""
-    scores = []
-    for x, refs in dev:
-        tokens = vocab.decode(_decode_best(params, hyper, x, weights, config))
-        inst = EvalInstance(candidate=tokens, references=refs)
-        scores.append(instance_score(inst, metric, byte_cap=config.byte_cap))
-    return sum(scores) / len(scores)
+    return _dev_metric(_decode_dev(params, hyper, dev, weights, config),
+                       vocab, config, metric)
 
 
-def _kbest_lists(params, hyper, vocab, dev, weights, config, metric):
-    """Per dev pair: list of (feature sums, instance metric) for the final
-    beam under the current weights. Scores are linear in alpha, so line
-    search over these lists is exact on the lists."""
+def _kbest_lists(params, hyper, vocab, decoded, config, metric):
+    """Per decoded dev pair, its final beam's feature sums (n, 5) and
+    instance metrics (n values), best first. Scores are linear in alpha,
+    so line search over these lists is exact on the lists."""
     lists = []
-    for x, refs in dev:
-        scorer = TunedScorer(model.Scorer(params, hyper, x), weights)
-        entries = []
-        for hyp in beam_search(scorer, config):
-            feats = sequence_features(hyp.tokens, x, params, hyper)
-            inst = EvalInstance(candidate=vocab.decode(hyp.tokens),
-                                references=refs)
-            entries.append(
-                (feats, instance_score(inst, metric,
-                                       byte_cap=config.byte_cap)))
-        lists.append(entries)
+    for x, beam, refs in decoded:
+        # the feature sums do not depend on the weights
+        scorer = TunedScorer(model.Scorer(params, hyper, x),
+                             FeatureWeights.identity())
+        lists.append((np.array([scorer.feature_sums(hyp.tokens)
+                                for hyp in beam]),
+                      [_instance_metric(vocab, hyp, refs, config, metric)
+                       for hyp in beam]))
     return lists
 
 
-def _list_objective(lists, alpha):
-    """Mean metric of each sentence's best-scoring K-best entry (first entry
-    wins ties, so the result is deterministic)."""
-    total = 0.0
-    for entries in lists:
-        scores = np.array([alpha @ feats for feats, _ in entries])
-        total += entries[int(np.argmax(scores))][1]
-    return total / len(lists)
+# weight vectors scored per block in the line search: the score temporaries
+# hold _PROBE_BLOCK x (entries of all lists) values
+_PROBE_BLOCK = 64
+
+
+def _entry_scores(rows, feats):
+    """Scores of weight rows (R, 5) on entries feats (N, 5): (R, N). Each
+    is the BLAS ddot that `row @ f` computes for one pair, run from numpy's
+    matmul loop over a batch of (1, 5) @ (5, 1) products. A gemm does not
+    reproduce that ddot in the last digit on every shape, and one breakpoint
+    moved by an ulp can change the tuned weights."""
+    return np.matmul(rows[:, None, None, :],
+                     feats[None, :, :, None])[:, :, 0, 0]
+
+
+def _stack(lists):
+    """The K-best lists padded to the longest: feature sums (S, K, 5),
+    metrics (S, K), and which entries are real (S, K)."""
+    k = max(len(metrics) for _, metrics in lists)
+    feats = np.zeros((len(lists), k, N_FEATURES))
+    metrics = np.zeros((len(lists), k))
+    valid = np.zeros((len(lists), k), dtype=bool)
+    for s, (f, m) in enumerate(lists):
+        feats[s, :len(m)] = f
+        metrics[s, :len(m)] = m
+        valid[s, :len(m)] = True
+    return feats, metrics, valid
+
+
+def _objectives(rows, feats, metrics, valid):
+    """Per weight row, the mean metric of each sentence's best-scoring
+    entry. The first entry wins ties and padding never wins."""
+    s, k = metrics.shape
+    flat = feats.reshape(s * k, N_FEATURES)
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), _PROBE_BLOCK):
+        scores = _entry_scores(rows[lo:lo + _PROBE_BLOCK], flat)
+        scores = scores.reshape(-1, s, k)
+        scores[:, ~valid] = -np.inf
+        won = metrics[np.arange(s), scores.argmax(axis=2)]
+        # a running sum keeps sentence order; np.sum adds pairwise
+        out[lo:lo + _PROBE_BLOCK] = np.cumsum(won, axis=1)[:, -1] / s
+    return out
 
 
 def _line_search(lists, alpha, direction):
     """Best step size along one direction, exact over the K-best lists: the
     per-sentence winner is piecewise constant in the step, with region
-    boundaries at pairwise line intersections."""
-    breakpoints = set()
-    for entries in lists:
-        offsets = np.array([alpha @ feats for feats, _ in entries])
-        slopes = np.array([direction @ feats for feats, _ in entries])
-        for i in range(len(entries)):
-            diff = slopes - slopes[i]
-            mask = diff != 0
-            gammas = (offsets[i] - offsets[mask]) / diff[mask]
-            breakpoints.update(float(g) for g in gammas if np.isfinite(g))
-    grid = sorted(breakpoints)
-    probes = [0.0]
-    if grid:
-        probes.append(grid[0] - 1.0)
-        probes.append(grid[-1] + 1.0)
-        probes.extend((a + b) / 2 for a, b in zip(grid, grid[1:]))
-    best_gamma, best_obj = 0.0, _list_objective(lists, alpha)
-    for gamma in probes:
-        obj = _list_objective(lists, alpha + gamma * direction)
+    boundaries at pairwise line intersections. Probes are 0, one step
+    beyond each end of the sorted breakpoints and every midpoint between
+    them, tried in that order; a probe must beat the best so far by 1e-12."""
+    feats, metrics, valid = _stack(lists)
+    s, k = metrics.shape
+    offsets, slopes = _entry_scores(
+        np.array([alpha, direction]),
+        feats.reshape(s * k, N_FEATURES)).reshape(2, s, k)
+    # [s, i, j]: where the lines of entries i and j of sentence s cross
+    run = slopes[:, None, :] - slopes[:, :, None]
+    crosses = valid[:, :, None] & valid[:, None, :] & (run != 0)
+    gammas = ((offsets[:, :, None] - offsets[:, None, :])[crosses]
+              / run[crosses])
+    # sort and dedupe: np.unique's first call pages in more memory
+    grid = np.sort(gammas[np.isfinite(gammas)])
+    keep = np.ones(grid.size, dtype=bool)
+    keep[1:] = grid[1:] != grid[:-1]
+    grid = grid[keep]
+    probes = np.concatenate([[0.0], grid[:1] - 1.0, grid[-1:] + 1.0,
+                             (grid[:-1] + grid[1:]) / 2])
+    rows = np.vstack([alpha, alpha + probes[:, None] * direction])
+    objs = _objectives(rows, feats, metrics, valid).tolist()
+    best_gamma, best_obj = 0.0, objs[0]
+    for gamma, obj in zip(probes.tolist(), objs[1:]):
         if obj > best_obj + 1e-12:
             best_gamma, best_obj = gamma, obj
     return best_gamma, best_obj
@@ -247,15 +364,20 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1",
               init=None, seed=0, random_directions=8, max_rounds=4):
     """Minimum-error-rate tuning of the feature weights against the dev
     corpus metric. Each round line-searches the 5 coordinate axes plus
-    seeded random directions over fresh K-best lists; a move is kept only if
-    re-decoding the dev set strictly improves the true metric. Returns
-    weights whose dev metric is never below the initialization's."""
+    seeded random directions over the current weights' K-best lists; a
+    move is kept only if decoding the dev set under the trial weights
+    strictly improves the true metric, and then that same decode gives the
+    lists for the next direction. Each distinct weight vector is decoded
+    once. Returns weights whose dev metric is never below the
+    initialization's."""
     dev = list(dev)
     if not dev:
         raise ValueError("dev set is empty")
     weights = FeatureWeights(np.array(init.alpha if init is not None
                                       else FeatureWeights().alpha))
-    current = dev_score(params, hyper, vocab, dev, weights, config, metric)
+    decoded = _decode_dev(params, hyper, dev, weights, config)
+    current = _dev_metric(decoded, vocab, config, metric)
+    lists = _kbest_lists(params, hyper, vocab, decoded, config, metric)
     rng = np.random.default_rng(seed)
     axes = [np.eye(N_FEATURES)[i] for i in range(N_FEATURES)]
     for _ in range(max_rounds):
@@ -263,16 +385,16 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1",
         directions = axes + [rng.standard_normal(N_FEATURES)
                              for _ in range(random_directions)]
         for direction in directions:
-            lists = _kbest_lists(params, hyper, vocab, dev, weights,
-                                 config, metric)
             gamma, _ = _line_search(lists, weights.alpha, direction)
             if gamma == 0.0:
                 continue
             trial = FeatureWeights(weights.alpha + gamma * direction)
-            score = dev_score(params, hyper, vocab, dev, trial, config,
-                              metric)
+            decoded = _decode_dev(params, hyper, dev, trial, config)
+            score = _dev_metric(decoded, vocab, config, metric)
             if score > current + 1e-12:
                 weights, current = trial, score
+                lists = _kbest_lists(params, hyper, vocab, decoded,
+                                     config, metric)
                 improved = True
         if not improved:
             break

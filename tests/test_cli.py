@@ -421,6 +421,43 @@ def test_tune_writes_named_weights(tmp_path, capsys):
     assert dec.read_text(encoding="utf-8") == "a b c\n"
 
 
+WEIGHTS = ('"log_prob": 1.0, "unigram": 0.0, "bigram": 0.0, '
+           '"trigram": 0.0')
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2, 3, 4, 5]",
+    '"abc"',
+    "null",
+    '{"log_prob": true, "unigram": true, "bigram": true, '
+    '"trigram": true, "reorder": true}',
+    "{" + WEIGHTS + ', "reorder": null}',
+    "{" + WEIGHTS + ', "reorder": "0.5"}',
+    "{" + WEIGHTS + ', "reorder": [0.5]}',
+    "{" + WEIGHTS + ', "reorder": 1' + "0" * 400 + "}",
+    "{" + WEIGHTS + "}",
+    "{" + WEIGHTS + ', "reorder": 0.0, "length": 0.0}',
+    "{" + WEIGHTS + ', "reorder": NaN}',
+    "{" + WEIGHTS,
+], ids=["list", "string", "null", "bools", "null value", "string value",
+        "list value", "huge int", "missing name", "extra name", "nan",
+        "not json"])
+def test_malformed_weights_file_is_a_data_error(tmp_path, text):
+    mpath, vpath = biased_model_files(tmp_path)
+    inp = tmp_path / "input.txt"
+    inp.write_text("a b c\n", encoding="utf-8")
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(text, encoding="utf-8")
+    proc = run_tool([sys.executable, "-m", "attnsum", "decode",
+                     "--model", str(mpath), "--vocab", str(vpath),
+                     "--input", str(inp), "--N", "3",
+                     "--weights", str(wpath)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_tune_rejects_misaligned_refs(tmp_path, capsys):
     mpath, vpath = biased_model_files(tmp_path)
     dev = tmp_path / "dev.txt"

@@ -1,15 +1,19 @@
 """Re-ranking layer tests: feature definitions against hand-worked cases,
-linearity and scaling invariance, scorer-protocol consistency, and the
-minimum-error-rate tuner's acceptance guarantees."""
+linearity and scaling invariance, scorer-protocol consistency, the weights
+file, and the minimum-error-rate tuner: its acceptance guarantees, and its
+K-best lists, line search and whole loop against brute-force oracles."""
 
 import collections
+import json
+import os
 
 import numpy as np
 import pytest
 
-from attnsum import model
+from attnsum import model, tuning
 from attnsum.corpus import Vocab
-from attnsum.decoding import DecodeConfig, beam_search
+from attnsum.decoding import MODES, DecodeConfig, beam_search
+from attnsum.rouge import EvalInstance, instance_score
 from attnsum.tuning import (FEATURE_NAMES, FeatureWeights, TunedScorer,
                             dev_score, features, mert_tune,
                             sequence_features, tuned_score)
@@ -40,6 +44,32 @@ def test_weights_json_roundtrip(tmp_path):
     back = FeatureWeights.load(path)
     assert np.array_equal(back.alpha, w.alpha)
     assert set(w.to_dict()) == set(FEATURE_NAMES)
+
+
+def test_weights_from_dict_takes_ints_and_floats():
+    d = dict(zip(FEATURE_NAMES, [1, 0, -2, 0.5, 3]))
+    assert np.array_equal(FeatureWeights.from_dict(d).alpha,
+                          [1.0, 0.0, -2.0, 0.5, 3.0])
+
+
+def test_weights_save_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "weights.json"
+    FeatureWeights.identity().save(path)
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"bigram": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(tuning.json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        FeatureWeights(np.arange(5.0)).save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["weights.json"]
+    monkeypatch.undo()
+    FeatureWeights(np.arange(5.0)).save(path)
+    assert json.loads(path.read_text(encoding="utf-8"))["reorder"] == 4.0
+    assert os.listdir(tmp_path) == ["weights.json"]
 
 
 def test_features_token_absent_from_input():
@@ -243,3 +273,240 @@ def test_mert_never_decreases_dev_metric():
         after = dev_score(params, hyper, vocab, dev, weights, config,
                           "rouge1")
         assert after >= before - 1e-12
+
+
+# ---- the tuner against brute-force oracles --------------------------------
+# The oracles below are the per-entry line search and the tuner loop that
+# re-decodes the dev set for every direction and rebuilds each hypothesis's
+# features with sequence_features. Of the tuner's own code they call only
+# dev_score, to score a weight vector.
+
+
+def oracle_list_objective(lists, alpha):
+    total = 0.0
+    for entries in lists:
+        scores = np.array([alpha @ feats for feats, _ in entries])
+        total += entries[int(np.argmax(scores))][1]
+    return total / len(lists)
+
+
+def oracle_line_search(lists, alpha, direction):
+    breakpoints = set()
+    for entries in lists:
+        offsets = np.array([alpha @ feats for feats, _ in entries])
+        slopes = np.array([direction @ feats for feats, _ in entries])
+        for i in range(len(entries)):
+            diff = slopes - slopes[i]
+            mask = diff != 0
+            gammas = (offsets[i] - offsets[mask]) / diff[mask]
+            breakpoints.update(float(g) for g in gammas if np.isfinite(g))
+    grid = sorted(breakpoints)
+    probes = [0.0]
+    if grid:
+        probes.append(grid[0] - 1.0)
+        probes.append(grid[-1] + 1.0)
+        probes.extend((a + b) / 2 for a, b in zip(grid, grid[1:]))
+    best_gamma, best_obj = 0.0, oracle_list_objective(lists, alpha)
+    for gamma in probes:
+        obj = oracle_list_objective(lists, alpha + gamma * direction)
+        if obj > best_obj + 1e-12:
+            best_gamma, best_obj = gamma, obj
+    return best_gamma, best_obj
+
+
+def oracle_mert(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
+                random_directions=8, max_rounds=4):
+    weights = FeatureWeights.identity()
+    current = dev_score(params, hyper, vocab, dev, weights, config, metric)
+    rng = np.random.default_rng(seed)
+    axes = [np.eye(5)[i] for i in range(5)]
+    for _ in range(max_rounds):
+        improved = False
+        directions = axes + [rng.standard_normal(5)
+                             for _ in range(random_directions)]
+        for direction in directions:
+            lists = []
+            for x, refs in dev:
+                scorer = TunedScorer(model.Scorer(params, hyper, x), weights)
+                lists.append([
+                    (sequence_features(hyp.tokens, x, params, hyper),
+                     instance_score(EvalInstance(vocab.decode(hyp.tokens),
+                                                 refs), metric))
+                    for hyp in beam_search(scorer, config)])
+            gamma, _ = oracle_line_search(lists, weights.alpha, direction)
+            if gamma == 0.0:
+                continue
+            trial = FeatureWeights(weights.alpha + gamma * direction)
+            score = dev_score(params, hyper, vocab, dev, trial, config,
+                              metric)
+            if score > current + 1e-12:
+                weights, current = trial, score
+                improved = True
+        if not improved:
+            break
+    return weights
+
+
+def as_entries(lists):
+    """Tuner lists (feature sums (n, 5), metrics) as the oracle's lists of
+    (feature vector, metric) entries."""
+    return [list(zip(feats, metrics)) for feats, metrics in lists]
+
+
+def random_lists(rng, n_sents, k, integer):
+    """Seeded K-best lists with ragged lengths, duplicate entries, lines
+    parallel along the axes (shared integer indicator sums) and, for some
+    sentences, one metric shared by every entry."""
+    lists = []
+    for _ in range(n_sents):
+        n = int(rng.integers(1, k + 1))
+        feats = rng.integers(0, 4, size=(n, 5)).astype(np.float64)
+        if integer:
+            feats[:, 0] = -rng.integers(0, 12, size=n)
+        else:
+            feats[:, 0] = -rng.exponential(5.0, size=n)
+        metrics = rng.integers(0, 4, size=n) / 3.0
+        if n > 1 and rng.random() < 0.4:
+            i, j = rng.choice(n, size=2, replace=False)
+            feats[j] = feats[i]
+        if rng.random() < 0.2:
+            metrics[:] = metrics[0]
+        lists.append((feats, metrics.tolist()))
+    return lists
+
+
+def test_entry_scores_are_per_entry_dot_products():
+    # thousands of entries: on some BLAS builds a gemm of this shape rounds
+    # differently from `row @ f` in its last columns
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((tuning._PROBE_BLOCK, 5))
+    feats = rng.standard_normal((9719, 5)) * 5
+    got = tuning._entry_scores(rows, feats)
+    assert got.shape == (len(rows), len(feats))
+    cols = np.concatenate([np.arange(len(feats) - 32, len(feats)),
+                           rng.integers(0, len(feats), size=100)])
+    for r, row in enumerate(rows):
+        for c in cols:
+            assert got[r, c] == row @ feats[c]
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_line_search_matches_per_entry_oracle(integer):
+    rng = np.random.default_rng(17 + integer)
+    n_probes = []
+    for case in range(60):
+        k = 1 if case % 10 == 9 else 8
+        lists = random_lists(rng, int(rng.integers(1, 14)), k, integer)
+        if case % 3 == 0:
+            alpha = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        elif integer:
+            alpha = rng.integers(-2, 3, size=5).astype(np.float64)
+        else:
+            alpha = rng.standard_normal(5)
+        directions = [np.eye(5)[i] for i in range(5)]
+        directions.append(rng.standard_normal(5))
+        directions.append(rng.integers(-2, 3, size=5).astype(np.float64))
+        for direction in directions:
+            got = tuning._line_search(lists, alpha, direction)
+            want = oracle_line_search(as_entries(lists), alpha, direction)
+            assert got == want, (case, direction)
+        n_probes.append(sum(len(m) * (len(m) - 1) for _, m in lists))
+    # the cases span several probe blocks, and lists with no breakpoint
+    assert max(n_probes) > 4 * tuning._PROBE_BLOCK
+    assert min(n_probes) == 0
+
+
+@pytest.mark.parametrize("encoder", model.ENCODERS)
+@pytest.mark.parametrize("mode", MODES)
+def test_kbest_feature_sums_equal_sequence_features(encoder, mode):
+    vocab = letter_vocab()
+    # past 8 steps a pairwise sum would reorder the log-prob additions
+    config = DecodeConfig(length=9, beam=5, mode=mode)
+    for seed in range(3):
+        params, hyper = small_model(encoder, seed=seed,
+                                    vocab_size=len(vocab))
+        rng = np.random.default_rng(300 + seed)
+        dev = [(list(rng.integers(3, len(vocab), size=6)), [["a", "b"]])
+               for _ in range(2)]
+        weights = FeatureWeights(rng.standard_normal(5))
+        decoded = tuning._decode_dev(params, hyper, dev, weights, config)
+        lists = tuning._kbest_lists(params, hyper, vocab, decoded, config,
+                                    "rouge1")
+        for (x, beam, _), (feats, metrics) in zip(decoded, lists):
+            assert len(feats) == len(metrics) == len(beam) > 1
+            for hyp, row in zip(beam, feats):
+                assert np.array_equal(
+                    row, sequence_features(hyp.tokens, x, params, hyper))
+
+
+def bow_dev(seed, vocab):
+    params, hyper = small_model("bow", seed=seed, vocab_size=len(vocab))
+    rng = np.random.default_rng(200 + seed)
+    dev = []
+    for _ in range(3):
+        x = list(rng.integers(3, len(vocab), size=5))
+        ref = vocab.decode(rng.integers(3, len(vocab), size=3))
+        dev.append((x, [ref]))
+    return params, hyper, dev
+
+
+def ragged_dev(vocab):
+    """An extractive dev set whose first input has two token types: with
+    C = 2 and N = 3 its final beam holds the 4 distinct contexts, the
+    second sentence's holds 8."""
+    params, hyper = small_model("attention", seed=1, vocab_size=len(vocab))
+    dev = [([3, 4, 3, 4], [["a", "b"]]), ([3, 4, 5, 6, 7], [["c", "a"]])]
+    config = DecodeConfig(length=3, beam=8, mode="extractive")
+    return params, hyper, dev, config
+
+
+def test_ragged_kbest_lists():
+    vocab = letter_vocab()
+    params, hyper, dev, config = ragged_dev(vocab)
+    decoded = tuning._decode_dev(params, hyper, dev,
+                                 FeatureWeights.identity(), config)
+    lists = tuning._kbest_lists(params, hyper, vocab, decoded, config,
+                                "rouge1")
+    assert [len(metrics) for _, metrics in lists] == [4, 8]
+
+
+def test_mert_matches_oracle_tuner():
+    vocab = letter_vocab()
+    cases = [biased_fixture()]
+    for seed in range(3):
+        params, hyper, dev = bow_dev(seed, vocab)
+        cases.append((params, hyper, vocab, dev,
+                      DecodeConfig(length=3, beam=4)))
+    params, hyper, dev, config = ragged_dev(vocab)
+    cases.append((params, hyper, vocab, dev, config))
+    for params, hyper, vocab, dev, config in cases:
+        for seed in range(2):
+            got = mert_tune(params, hyper, vocab, dev, config, seed=seed,
+                            max_rounds=2)
+            want = oracle_mert(params, hyper, vocab, dev, config, seed=seed,
+                               max_rounds=2)
+            assert np.array_equal(got.alpha, want.alpha)
+
+
+def test_mert_decodes_each_weight_vector_once(monkeypatch):
+    vocab = letter_vocab()
+    search, line_search = tuning.beam_search, tuning._line_search
+    calls = collections.Counter()
+
+    def counting_search(scorer, config):
+        calls["decodes"] += 1
+        return search(scorer, config)
+
+    def counting_line_search(lists, alpha, direction):
+        gamma, obj = line_search(lists, alpha, direction)
+        calls["directions"] += 1
+        calls["moves"] += gamma != 0.0
+        return gamma, obj
+
+    monkeypatch.setattr(tuning, "beam_search", counting_search)
+    monkeypatch.setattr(tuning, "_line_search", counting_line_search)
+    params, hyper, dev, config = ragged_dev(vocab)
+    dev = dev + bow_dev(0, vocab)[2]
+    mert_tune(params, hyper, vocab, dev, config, seed=1, max_rounds=3)
+    assert 0 < calls["moves"] < calls["directions"]
+    assert calls["decodes"] == len(dev) * (1 + calls["moves"])
