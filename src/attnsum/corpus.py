@@ -22,6 +22,8 @@ A pair is discarded when (checked in this order):
 """
 
 import collections
+import contextlib
+import os
 import unicodedata
 
 UNK_ID = 0
@@ -56,6 +58,25 @@ EDIT_MARKERS = frozenset([
 ])
 
 _BRACKETS = {"(", ")", "[", "]", "{", "}"}
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open a temp file beside `path` for writing; on a clean exit fsync it
+    and os.replace it into place. A failed write leaves any earlier file at
+    `path` intact and removes the temp file."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _is_punct_char(ch):
@@ -186,7 +207,7 @@ class Vocab:
         return [self.id_to_token[i] for i in ids]
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for token in self.id_to_token:
                 fh.write(f"{token}\t{self.counts.get(token, 0)}\n")
 

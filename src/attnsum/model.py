@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import MODEL_FORMAT_VERSION
-from .corpus import START_ID
+from .corpus import START_ID, atomic_open
 from .numerics import ParamStore, log_softmax_rows, softmax_rows
 
 ENCODERS = ("none", "bow", "conv", "attention")
@@ -506,9 +506,10 @@ def _read_u32(fh, count=1):
 
 def save_model(path, params, hyper):
     """Versioned little-endian binary: magic, version, hyperparams, then
-    name-sorted tensors as (name, shape, row-major float64 payload)."""
+    name-sorted tensors as (name, shape, row-major float64 payload). The
+    file is written atomically: a failed save leaves any earlier file."""
     names = sorted(params.names())
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         _write_u32(fh, MODEL_FORMAT_VERSION)
         enc = hyper.encoder.encode("utf-8")

@@ -25,16 +25,6 @@ def require_finite(arr, what="array"):
     return arr
 
 
-def softmax(v):
-    """Stable softmax of a 1-D vector: exp(v - max(v)) normalized to sum 1."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax expects a nonempty 1-D vector")
-    require_finite(v, "softmax input")
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
 def softmax_rows(m):
     """Row-wise stable softmax of a 2-D array."""
     m = np.asarray(m, dtype=np.float64)

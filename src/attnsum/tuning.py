@@ -10,10 +10,10 @@ Feature vector f(y_next, x, y_c):
   4  reorder: some k > j has x[k] = previous output and x[j] = y_next
 
 Indicator features use the model's context window for the previous outputs;
-history the window cannot see (start padding, or positions beyond a short
-window) never matches, so those indicators are 0. The total candidate score
-is sum_i alpha . f(y[i], x, y_c_i); alpha = (1, 0, 0, 0, 0) reproduces the
-plain decoder score exactly.
+history the window cannot see counts as start padding, which matches only an
+input holding the start symbol. Every indicator is 0 for a token the input
+does not hold. The total candidate score is sum_i alpha . f(y[i], x, y_c_i);
+alpha = (1, 0, 0, 0, 0) reproduces the plain decoder score exactly.
 
 Because each candidate's score is linear in alpha, tuning does Och-style
 line search: along a direction, every K-best entry is a line alpha_c +
@@ -32,12 +32,12 @@ they are the oracles the tests hold the tuner to, bit for bit.
 """
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
+from .corpus import atomic_open
 from .decoding import beam_search
 from .rouge import EvalInstance, instance_score
 
@@ -87,21 +87,11 @@ class FeatureWeights:
         return cls(np.array(alpha))
 
     def save(self, path):
-        """Write the JSON to a temp file beside `path`, then os.replace it
-        into place: a failed write leaves any earlier file intact."""
-        path = os.fspath(path)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Write the JSON atomically: a failed save leaves any earlier
+        file intact."""
+        with atomic_open(path) as fh:
+            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path):
@@ -153,35 +143,18 @@ def tuned_score(y, x, weights, params, hyper):
 
 class TunedScorer:
     """Drop-in per-step scorer for the decoders: returns alpha-weighted
-    feature scores instead of log-probabilities, with the indicator
-    structure of the input precomputed once per sentence."""
+    feature scores instead of log-probabilities. Its state and indicator
+    work scale with the input length M, not the vocabulary: a score is
+    a0 * logp, plus the indicator terms on the columns of x."""
 
     def __init__(self, base, weights):
         self._base = base
         self.weights = weights
         self.x = np.asarray(base.x, dtype=np.int64)
-        v = base.vocab_size
-        x = [int(t) for t in self.x]
-        self._uni = np.zeros(v)
-        self._uni[self.x] = 1.0
-        follow = {}
-        for j in range(1, len(x)):
-            follow.setdefault(x[j - 1], set()).add(x[j])
-        self._follow = {w: np.fromiter(sorted(ids), dtype=np.int64)
-                        for w, ids in follow.items()}
-        follow2 = {}
-        for j in range(2, len(x)):
-            follow2.setdefault((x[j - 2], x[j - 1]), set()).add(x[j])
-        self._follow2 = {pair: np.fromiter(sorted(ids), dtype=np.int64)
-                         for pair, ids in follow2.items()}
-        # reorder(prev, next) = first occurrence of next precedes some
-        # occurrence of prev, i.e. minpos[next] < maxpos[prev]
-        self._minpos = np.full(v, len(x), dtype=np.int64)
-        self._maxpos = np.full(v, -1, dtype=np.int64)
-        for j in reversed(range(len(x))):
-            self._minpos[x[j]] = j
-        for j in range(len(x)):
-            self._maxpos[x[j]] = j
+        _, first, pos_type = np.unique(self.x, return_index=True,
+                                       return_inverse=True)
+        # the position of the first occurrence of each x[j]
+        self._first = first[pos_type]
 
     @property
     def vocab_size(self):
@@ -192,31 +165,36 @@ class TunedScorer:
         return self._base.context_size
 
     def _indicators(self, contexts):
-        """Bigram, trigram and reorder indicators of every next token after
-        each context of contexts (K, C): three (K, V) matrices of 0/1."""
-        k = len(contexts)
-        big = np.zeros((k, self.vocab_size))
-        tri = np.zeros((k, self.vocab_size))
-        for r in range(k):
-            prev1 = int(contexts[r, -1])
-            ids = self._follow.get(prev1)
-            if ids is not None:
-                big[r, ids] = 1.0
-            if contexts.shape[1] >= 2:
-                ids = self._follow2.get((int(contexts[r, -2]), prev1))
-                if ids is not None:
-                    tri[r, ids] = 1.0
-        reorder = (self._minpos[None, :]
-                   < self._maxpos[contexts[:, -1]][:, None]).astype(np.float64)
-        return big, tri, reorder
+        """Bigram, trigram and reorder indicators of next token x[j] after
+        each context of contexts (K, C): a (3, K, M) array of 0/1, equal on
+        the columns of one token type."""
+        x, first = self.x, self._first
+        is_prev1 = x == contexts[:, -1:]
+        # a one-token window has start padding before it, as in features():
+        # one (M,) row for every context
+        is_prev2 = x == (contexts[:, -2:-1] if contexts.shape[1] > 1
+                         else model.START_ID)
+        ind = np.zeros((3,) + is_prev1.shape)
+        # a match at position j holds for x[j] wherever it occurs: mark it
+        # at x[j]'s first position and read every position from there
+        rows, j = np.nonzero(is_prev1[:, :-1])
+        ind[0, rows, first[j + 1]] = 1.0
+        rows, j = np.nonzero(is_prev2[..., :-2] & is_prev1[:, 1:-1])
+        ind[1, rows, first[j + 2]] = 1.0
+        last_prev1 = np.where(is_prev1, np.arange(len(x)), -1).max(axis=1)
+        ind[2] = first < last_prev1[:, None]
+        return ind[:, :, first]
 
     def step_scores(self, contexts):
         contexts = np.asarray(contexts, dtype=np.int64)
         logp = self._base.step_scores(contexts)
         big, tri, reorder = self._indicators(contexts)
         a = self.weights.alpha
-        return (a[0] * logp + a[1] * self._uni[None, :]
-                + a[2] * big + a[3] * tri + a[4] * reorder)
+        out = a[0] * logp
+        # a0 * f0 + a1 * f1 + ... added left to right, with f1 = 1
+        out[:, self.x] = (out[:, self.x] + a[1] + a[2] * big + a[3] * tri
+                          + a[4] * reorder)
+        return out
 
     def feature_sums(self, y):
         """Position-summed feature vector of a complete candidate y, equal
@@ -226,10 +204,14 @@ class TunedScorer:
         y = np.asarray(y, dtype=np.int64)
         contexts = model.context_windows(y, self.context_size)
         logp = self._base.step_scores(contexts)
-        big, tri, reorder = self._indicators(contexts)
+        # row i reads the column of a position j where x[j] = y[i], if any
+        at = y[:, None] == self.x
+        found = at.any(axis=1)
+        j = at.argmax(axis=1)
         steps = np.arange(len(y))
-        per_step = np.stack([logp[steps, y], self._uni[y], big[steps, y],
-                             tri[steps, y], reorder[steps, y]], axis=1)
+        per_step = np.column_stack(
+            [logp[steps, y], found,
+             (self._indicators(contexts)[:, steps, j] * found).T])
         total = np.zeros(N_FEATURES)
         for row in per_step:
             total += row
@@ -239,8 +221,8 @@ class TunedScorer:
 def _decode_dev(params, hyper, dev, weights, config):
     """One decode of the dev set under `weights`: per (input ids,
     references) pair, the input, its final beam (best first) and the
-    references. Scorers are not kept: at a large vocabulary each holds
-    several V-sized arrays."""
+    references. Scorers are not kept: each base Scorer holds a (1, V)
+    enc_logit for a bow or conv model, 160 KB at V=20k."""
     decoded = []
     for x, refs in dev:
         scorer = TunedScorer(model.Scorer(params, hyper, x), weights)

@@ -1,4 +1,5 @@
 import collections
+import os
 
 import numpy as np
 import pytest
@@ -116,6 +117,17 @@ def test_vocab_file_roundtrip(tmp_path):
     loaded = Vocab.load(path)
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.counts == vocab.counts
+
+
+def test_vocab_save_is_atomic(tmp_path, disk_full_after):
+    path = tmp_path / "vocab.tsv"
+    Vocab.build([["m", "m", "n"]], min_count=1).save(path)
+    before = path.read_bytes()
+    disk_full_after(len(before) // 2)
+    with pytest.raises(OSError):
+        Vocab.build([["p", "q", "q", "r"]], min_count=1).save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["vocab.tsv"]
 
 
 def test_filter_question_mark_and_colon():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -457,6 +458,18 @@ def test_model_file_roundtrip(encoder, tmp_path):
     assert header["format_version"] == 1
     assert header["hyperparams"] == hyper
     assert header["tensors"]["E"] == (4, 20)
+
+
+def test_save_model_is_atomic(tmp_path, disk_full_after):
+    hyper = tiny_hyper("conv")
+    path = tmp_path / "model.bin"
+    save_model(path, init_params(hyper, 21), hyper)
+    before = path.read_bytes()
+    disk_full_after(len(before) // 2)
+    with pytest.raises(OSError):
+        save_model(path, init_params(hyper, 22), hyper)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.bin"]
 
 
 def test_model_file_rejects_bad_magic(tmp_path):

@@ -170,19 +170,60 @@ def test_positive_scaling_preserves_candidate_ranking():
         assert np.array_equal(np.argsort(base), np.argsort(scaled))
 
 
-def test_tuned_scorer_matches_per_token_features():
-    params, hyper = small_model("bow", seed=2)
-    x = [3, 4, 5, 3]
-    base = model.Scorer(params, hyper, x)
-    weights = FeatureWeights(np.array([1.0, 0.7, -0.3, 2.0, 0.4]))
-    scorer = TunedScorer(base, weights)
-    contexts = np.array([[1, 1], [1, 4], [3, 4], [5, 3], [4, 9]])
-    got = scorer.step_scores(contexts)
-    logp = base.step_scores(contexts)
-    for r, ctx in enumerate(contexts):
-        for v in range(hyper.vocab_size):
-            want = weights.alpha @ features(v, x, ctx, logp[r, v])
-            assert got[r, v] == pytest.approx(want, rel=1e-12)
+@pytest.mark.parametrize("context_size", [1, 2, 3])
+@pytest.mark.parametrize("encoder", model.ENCODERS)
+def test_tuned_scorer_matches_per_token_features(encoder, context_size):
+    hyper = model.Hyperparams(vocab_size=10, embed_dim=3, hidden_dim=4,
+                              context_size=context_size, encoder=encoder,
+                              conv_layers=1, window=1)
+    params = model.init_params(hyper, seed=2)
+    rng = np.random.default_rng(context_size)
+    # repeated tokens and bigrams, one type, one token, the start id
+    inputs = [[3, 4, 5, 3], [3, 4, 3, 4, 5, 3, 6], [4, 4, 4], [5],
+              [1, 4, 5, 4, 1, 3]]
+    all_weights = [[1.0, 0.7, -0.3, 2.0, 0.4], [0.0, -1.25, 0.0, 0.5, -2.0],
+                   [0.37, 0.0, 1.9, -0.61, 0.0], [-0.8, 1.3, 0.9, 0.0, 1.7]]
+    for x in inputs:
+        base = model.Scorer(params, hyper, x)
+        # every window of the input's history, then random windows
+        history = [model.START_ID] * context_size + x
+        contexts = np.array(
+            [history[i:i + context_size] for i in range(len(x) + 1)]
+            + rng.choice([1, 3, 4, 5, 6, 9],
+                         size=(12, context_size)).tolist())
+        logp = base.step_scores(contexts)
+        for alpha in all_weights:
+            got = TunedScorer(base, FeatureWeights(alpha)).step_scores(
+                contexts)
+            for r, ctx in enumerate(contexts):
+                for v in range(hyper.vocab_size):
+                    f = features(v, x, ctx, logp[r, v])
+                    want = alpha[0] * f[0]
+                    for a, value in zip(alpha[1:], f[1:]):
+                        want = want + a * value
+                    assert got[r, v] == want, (x, alpha, r, v)
+
+
+def test_tuned_scorer_holds_no_vocabulary_sized_array():
+    x = [3, 4, 5, 3, 6, 4]
+
+    def held_sizes(obj, base):
+        sizes = []
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                sizes.append(value.size)
+            elif hasattr(value, "__dict__") and value is not base:
+                sizes += held_sizes(value, base)
+        return sizes
+
+    sizes = []
+    for vocab_size in (200, 20000):
+        params, hyper = small_model("bow", vocab_size=vocab_size)
+        base = model.Scorer(params, hyper, x)
+        sizes.append(held_sizes(TunedScorer(base, FeatureWeights.identity()),
+                                base))
+    assert sizes[0] == sizes[1]
+    assert max(sizes[1]) <= len(x)
 
 
 def test_tuned_scorer_identity_reproduces_base_scores():
