@@ -12,6 +12,20 @@ forward (training, loss, cond_dist) runs both per batch. Scorer (decoding,
 attention_trace, enc_attention) runs precompute once per input sentence and
 encode per decode step.
 
+Batches come from step tables. step_table(pairs, hyper) builds a corpus's
+StepTable once: every step's (C,) context and target, pair after pair, and
+the input sentences, with one id check over the whole corpus. A StepBatch
+(one input length; x, pair_of, ctx, target) is a gather of index ranges from
+it, StepTable.batch. make_batch(pairs, hyper) is the one-off form: a table
+of just those pairs, gathered whole.
+
+Attention steps are grouped in runs that share an input row. When every
+row has one run of the same length, as in a batch of equal-length outputs,
+encode and its backward pass run each product once, stacked over rows;
+otherwise (ragged runs, or the one run of a decode step) they run 2-D
+products one run at a time. The stacked products agree with the per-run
+ones bit for bit.
+
 Shape conventions used throughout:
   V vocab size, D embedding size, H hidden size, C context length,
   M input sentence length, P distinct input sentences in a batch,
@@ -24,13 +38,13 @@ P (H,C*D) attention bilinear map, Q1..QL (H,H*(2Q+1)) conv filters.
 A conv filter column index packs (window offset q, channel c) as q*H + c.
 """
 
+import itertools
 import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import MODEL_FORMAT_VERSION
 from .corpus import START_ID, atomic_open
@@ -39,6 +53,10 @@ from .numerics import ParamStore, log_softmax_rows, softmax_rows
 ENCODERS = ("none", "bow", "conv", "attention")
 
 _MAGIC = b"ASUM"
+
+# the most logits (steps x vocabulary) that loss evaluates in one forward
+# pass: 32 MB of float64 per (T,V) array
+LOGIT_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -130,6 +148,72 @@ class StepBatch:
     target: np.ndarray
 
 
+@dataclass
+class StepTable:
+    """Every prediction step of a corpus of (input, output) pairs, built once.
+
+    ctx (T_total, C) and target (T_total,) hold the steps pair after pair:
+    pair i's steps are rows offset[i]:offset[i] + length[i]. inputs holds the
+    input sentences end to end, pair i's at in_offset[i], in_length[i] long.
+    """
+    ctx: np.ndarray
+    target: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    inputs: np.ndarray
+    in_offset: np.ndarray
+    in_length: np.ndarray
+
+    def batch(self, indices):
+        """StepBatch of the pairs at `indices`, which share one input length:
+        a gather of their step rows and input rows, in the order given."""
+        idx = np.asarray(indices, dtype=np.int64)
+        lens = self.length[idx]
+        m = self.in_length[idx[0]]
+        x = self.inputs[self.in_offset[idx][:, None] + np.arange(m)]
+        first = np.cumsum(lens) - lens  # each pair's first row in the batch
+        steps = (np.repeat(self.offset[idx] - first, lens)
+                 + np.arange(first[-1] + lens[-1]))
+        return StepBatch(x=x, pair_of=np.repeat(np.arange(len(idx)), lens),
+                         ctx=self.ctx[steps], target=self.target[steps])
+
+
+def _lengths(seqs):
+    return np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+
+
+def _concat_ids(seqs, total):
+    return np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64,
+                       count=total)
+
+
+def step_table(pairs, hyper):
+    """The StepTable of (input_ids, output_ids) pairs, vectorised over the
+    whole corpus. Raises ValueError on an empty input or output and on ids
+    outside the vocabulary, before any step is built."""
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    in_length, length = _lengths(xs), _lengths(ys)
+    if not (in_length.all() and length.all()):
+        raise ValueError("empty sequence in pair")
+    inputs = _check_ids(_concat_ids(xs, in_length.sum()), hyper.vocab_size,
+                        "input ids")
+    target = _check_ids(_concat_ids(ys, length.sum()), hyper.vocab_size,
+                        "output ids")
+    offset = np.cumsum(length) - length
+    steps = np.arange(len(target))
+    position = steps - np.repeat(offset, length)  # index within the output
+    c = hyper.context_size
+    ctx = np.empty((len(target), c), dtype=np.int64)
+    for col in range(c):
+        back = c - col  # slot col holds the token `back` steps earlier
+        ctx[:, col] = np.where(position >= back,
+                               target[np.maximum(steps - back, 0)], START_ID)
+    return StepTable(ctx=ctx, target=target, offset=offset, length=length,
+                     inputs=inputs, in_offset=np.cumsum(in_length) - in_length,
+                     in_length=in_length)
+
+
 def make_batch(pairs, hyper):
     """Build a StepBatch from (input_ids, output_ids) pairs of equal input length."""
     if not pairs:
@@ -137,17 +221,7 @@ def make_batch(pairs, hyper):
     lengths = {len(x) for x, _ in pairs}
     if len(lengths) != 1:
         raise ValueError(f"batch mixes input lengths {sorted(lengths)}")
-    if lengths == {0} or any(len(y) == 0 for _, y in pairs):
-        raise ValueError("empty sequence in pair")
-    x_rows = _check_ids([x for x, _ in pairs], hyper.vocab_size, "input ids")
-    ctx, target, pair_of = [], [], []
-    for p, (_, y) in enumerate(pairs):
-        y = _check_ids(y, hyper.vocab_size, "output ids")
-        ctx.append(context_windows(y, hyper.context_size))
-        target.append(y)
-        pair_of.append(np.full(len(y), p, dtype=np.int64))
-    return StepBatch(x=x_rows, pair_of=np.concatenate(pair_of),
-                     ctx=np.concatenate(ctx), target=np.concatenate(target))
+    return step_table(pairs, hyper).batch(np.arange(len(pairs)))
 
 
 def _box_mean(xe, q):
@@ -155,19 +229,51 @@ def _box_mean(xe, q):
 
     xe has time on axis -2 (shapes (..., M, H)); positions outside [0, M) are
     zero. The operator matrix is symmetric, so it is its own adjoint.
+
+    The window's terms are added in order into an output that starts at
+    +0.0, as numpy's window sum does. A sum that starts at +0.0 never becomes
+    -0.0, so the zero terms past either end can be skipped without changing a
+    bit; starting from the first term instead would keep a lone -0.0.
     """
     if q == 0:
         return xe.copy()
-    pad = [(0, 0)] * xe.ndim
-    pad[-2] = (q, q)
-    padded = np.pad(xe, pad)
-    win = sliding_window_view(padded, 2 * q + 1, axis=xe.ndim - 2)
-    return win.sum(axis=-1) / (2 * q + 1)
+    m = xe.shape[-2]
+    out = np.zeros(xe.shape)
+    for shift in range(max(-q, 1 - m), min(q, m - 1) + 1):
+        lo, hi = max(0, -shift), min(m, m - shift)
+        out[..., lo:hi, :] += xe[..., lo + shift:hi + shift, :]
+    return out / (2 * q + 1)
+
+
+def _scatter_columns(grad, ids, vals):
+    """grad[:, ids] += vals, for vals of shape (D, *ids.shape), adding the
+    values of a repeated id in index order.
+
+    One bincount over the distinct ids that occur: each column's sum starts
+    at +0.0 and adds its values in the order np.add.at would, so into a
+    zeroed gradient the result is np.add.at's, bit for bit.
+    """
+    cols, inverse = np.unique(ids, return_inverse=True)
+    d, u = grad.shape[0], len(cols)
+    slots = (np.arange(d)[:, None] * u + inverse.reshape(1, -1)).reshape(-1)
+    weights = np.broadcast_to(vals, (d,) + ids.shape).reshape(-1)
+    grad[:, cols] += np.bincount(slots, weights=weights,
+                                 minlength=d * u).reshape(d, u)
 
 
 def _bow_rows(params, x_rows):
     """Bag-of-words encodings, one per row of x_rows: (P, H)."""
     return params["F"][:, x_rows].mean(axis=2).T
+
+
+def _pool_pairs(z):
+    """Max over each pair of time steps (0,1), (2,3), ... of z (P, m, H), and
+    the mask of the pairs whose max is the odd step. As argmax, a pool keeps
+    the even step on a tie (also -0.0 against +0.0) and the first NaN."""
+    n_pair = z.shape[1] // 2
+    even, odd = z[:, 0:2 * n_pair:2], z[:, 1:2 * n_pair:2]
+    amax = (odd > even) | (np.isnan(odd) & ~np.isnan(even))
+    return np.where(amax, odd, even), amax
 
 
 def _conv_rows(params, hyper, x_rows, activation=np.tanh):
@@ -176,62 +282,70 @@ def _conv_rows(params, hyper, x_rows, activation=np.tanh):
     Each layer: width-preserving 1-D convolution over zero-padded windows of
     half-width Q, pairwise max pool over time (odd tail kept as a singleton),
     then the activation. Finally max over remaining positions per channel.
-    The activation hook exists for algebraic reduction tests; the backward
-    pass assumes tanh.
+    Layers run time-major, (P, m, H). The activation hook exists for
+    algebraic reduction tests; the backward pass assumes tanh.
     """
     q, h = hyper.window, hyper.hidden_dim
-    span = 2 * q + 1
-    cur = params["F"][:, x_rows].transpose(1, 0, 2)  # (P, H, M)
+    cur = params["F"][:, x_rows].transpose(1, 2, 0)  # (P, M, H)
     layers = []
     for l in range(1, hyper.conv_layers + 1):
-        n_p, _, m = cur.shape
-        padded = np.pad(cur, ((0, 0), (0, 0), (q, q)))
-        win = sliding_window_view(padded, span, axis=2)  # (P, H, m, span)
-        winflat = win.transpose(0, 2, 3, 1).reshape(n_p, m, span * h)
-        z = (winflat @ params[f"Q{l}"].T).transpose(0, 2, 1)  # (P, H, m)
-        n_pair = m // 2
-        pair = z[:, :, :2 * n_pair].reshape(n_p, h, n_pair, 2)
-        amax = pair.argmax(axis=3)
-        pooled = np.take_along_axis(pair, amax[..., None], axis=3)[..., 0]
+        n_p, m, _ = cur.shape
+        # winflat[p, i, off*H + c] = cur[p, i + off - q, c], zero off the ends
+        if q == 0:
+            # one-step windows: winflat is a copy of cur. The dQ einsum's
+            # summation order follows its memory order, so it is kept as
+            # the zero-width np.pad copy laid it out: time-major for a
+            # single row's embeddings, channel-major otherwise (both pinned
+            # by test_golden_conv_gradients)
+            winflat = cur.copy() if l == 1 and n_p == 1 else \
+                np.ascontiguousarray(cur.transpose(0, 2, 1)).transpose(0, 2, 1)
+        else:
+            winflat = np.zeros((n_p, m, (2 * q + 1) * h))
+            for off in range(max(0, q - m + 1), min(2 * q, q + m - 1) + 1):
+                lo, hi = max(0, q - off), min(m, m + q - off)
+                winflat[:, lo:hi, off * h:(off + 1) * h] = \
+                    cur[:, lo + off - q:hi + off - q]
+        z = winflat @ params[f"Q{l}"].T  # (P, m, H)
+        pooled, amax = _pool_pairs(z)
         if m % 2:
-            pooled = np.concatenate([pooled, z[:, :, -1:]], axis=2)
+            pooled = np.concatenate([pooled, z[:, -1:]], axis=1)
         out = activation(pooled)
         layers.append({"winflat": winflat, "amax": amax, "width": m, "out": out})
         cur = out
-    tmax = cur.argmax(axis=2)
-    enc = np.take_along_axis(cur, tmax[:, :, None], axis=2)[:, :, 0]
-    return enc, {"layers": layers, "tmax": tmax}
+    tmax = cur.argmax(axis=1)  # (P, H)
+    rows, chans = np.arange(len(cur))[:, None], np.arange(h)
+    return cur[rows, tmax, chans], {"layers": layers, "tmax": tmax}
 
 
 def _conv_rows_backward(params, hyper, x_rows, cache, denc_rows, grad):
     q, h = hyper.window, hyper.hidden_dim
     span = 2 * q + 1
     layers = cache["layers"]
-    dcur = np.zeros_like(layers[-1]["out"])
-    np.put_along_axis(dcur, cache["tmax"][:, :, None],
-                      denc_rows[:, :, None], axis=2)
+    dcur = np.zeros_like(layers[-1]["out"])  # (P, m, H)
+    rows, chans = np.arange(len(dcur))[:, None], np.arange(h)
+    dcur[rows, cache["tmax"], chans] = denc_rows
     for l in range(hyper.conv_layers, 0, -1):
         layer = layers[l - 1]
         out, m = layer["out"], layer["width"]
         n_p = out.shape[0]
         dpooled = dcur * (1.0 - out * out)
         n_pair = m // 2
-        dz = np.zeros((n_p, h, m))
+        # dz is stored (P, H, m): the dQ einsum and the dwin product read
+        # this layout, and a different one could change their bits
+        dzt = np.zeros((n_p, h, m)).transpose(0, 2, 1)  # (P, m, H)
         if n_pair:
-            dpair = np.zeros((n_p, h, n_pair, 2))
-            np.put_along_axis(dpair, layer["amax"][..., None],
-                              dpooled[:, :, :n_pair, None], axis=3)
-            dz[:, :, :2 * n_pair] = dpair.reshape(n_p, h, 2 * n_pair)
+            amax, dpair = layer["amax"], dpooled[:, :n_pair]
+            dzt[:, 0:2 * n_pair:2] = np.where(amax, 0.0, dpair)
+            dzt[:, 1:2 * n_pair:2] = np.where(amax, dpair, 0.0)
         if m % 2:
-            dz[:, :, -1] = dpooled[:, :, -1]
-        dzt = dz.transpose(0, 2, 1)  # (P, m, H)
+            dzt[:, -1] = dpooled[:, -1]
         grad(f"Q{l}")[...] += np.einsum("pmh,pmk->hk", dzt, layer["winflat"])
         dwin = (dzt @ params[f"Q{l}"]).reshape(n_p, m, span, h)
-        dpadded = np.zeros((n_p, h, m + 2 * q))
-        for off in range(span):
-            dpadded[:, :, off:off + m] += dwin[:, :, off, :].transpose(0, 2, 1)
-        dcur = dpadded[:, :, q:q + m]
-    np.add.at(grad("F"), (slice(None), x_rows), dcur.transpose(1, 0, 2))
+        dcur = np.zeros((n_p, m, h))
+        for off in range(max(0, q - m + 1), min(2 * q, q + m - 1) + 1):
+            lo, hi = max(0, q - off), min(m, m + q - off)
+            dcur[:, lo + off - q:hi + off - q] += dwin[:, lo:hi, off]
+    _scatter_columns(grad("F"), x_rows, dcur.transpose(2, 0, 1))
 
 
 def _context_embed(table, ctx):
@@ -253,6 +367,26 @@ def _runs(pair_of):
         else:
             runs.append([p, t, t + 1])
     return runs
+
+
+def _run_blocks(runs, n_rows, *steps):
+    """The attention steps in blocks, each run as one set of products:
+    returns (blocks, views), where each block (rows, cut) reads input rows
+    `rows` and the steps view[cut] of each of the (T, .) arrays `steps`.
+
+    When the runs are one per input row, in row order, all n steps long (a
+    batch of equal-length outputs), there is one block of all rows and the
+    views are the steps stacked (P, n, .): reshapes, so writes into them
+    land in the C-contiguous arrays given. Otherwise each run is a block, a
+    row index and a slice of steps, with 2-D products, as in a decode step.
+    The stacked products give the per-run products' bits.
+    """
+    n = runs[0][2] - runs[0][1]
+    if 1 < len(runs) == n_rows and all(p == i and hi - lo == n
+                                       for i, (p, lo, hi) in enumerate(runs)):
+        return ([(slice(None), slice(None))],
+                [a.reshape(n_rows, n, -1) for a in steps])
+    return [(p, slice(lo, hi)) for p, lo, hi in runs], steps
 
 
 def precompute(params, hyper, x_rows):
@@ -292,11 +426,13 @@ def encode(params, hyper, pre, ctx, pair_of):
     if hyper.encoder == "attention":
         ctx_g = _context_embed(params["G"], ctx)
         query = ctx_g @ params["P"].T  # (T, H)
-        attn = np.empty((len(ctx), pre["xe"].shape[1]))
+        xe, xbar = pre["xe"], pre["xbar"]
+        attn = np.empty((len(ctx), xe.shape[1]))
         encvec = np.empty_like(query)
-        for p, lo, hi in runs:
-            attn[lo:hi] = softmax_rows(query[lo:hi] @ pre["xe"][p].T)
-            encvec[lo:hi] = attn[lo:hi] @ pre["xbar"][p]
+        blocks, (q, a, e) = _run_blocks(runs, len(xe), query, attn, encvec)
+        for rows, cut in blocks:
+            a[cut] = softmax_rows(q[cut] @ xe[rows].swapaxes(-1, -2))
+            e[cut] = a[cut] @ xbar[rows]
         logits = logits + encvec @ params["W"].T + params["b_W"]
         cache.update(ctx_g=ctx_g, query=query, attn=attn, encvec=encvec)
     elif hyper.encoder != "none":
@@ -313,11 +449,31 @@ def forward(params, hyper, batch):
     return cache
 
 
+def _step_slice(batch, lo, hi):
+    """The StepBatch of steps lo:hi of batch, holding only the input rows
+    those steps read."""
+    rows, pair_of = np.unique(batch.pair_of[lo:hi], return_inverse=True)
+    return StepBatch(x=batch.x[rows], pair_of=pair_of.reshape(-1),
+                     ctx=batch.ctx[lo:hi], target=batch.target[lo:hi])
+
+
 def loss(params, hyper, batch):
-    """Summed negative log-likelihood of the batch targets."""
-    cache = forward(params, hyper, batch)
-    steps = np.arange(len(batch.target))
-    return float(-cache["logp"][steps, batch.target].sum())
+    """Summed negative log-likelihood of the batch targets.
+
+    The steps run in chunks of at most LOGIT_BUDGET logits, which bounds
+    the (T,V) arrays a forward pass holds; the chunks' target log-probs are
+    collected and summed once. A batch within the budget is one chunk, the
+    batch itself.
+    """
+    t = len(batch.target)
+    rows = max(1, LOGIT_BUDGET // hyper.vocab_size)
+    picks = []
+    for lo in range(0, t, rows):
+        part = batch if rows >= t else _step_slice(batch, lo, lo + rows)
+        logp = forward(params, hyper, part)["logp"]
+        picks.append(logp[np.arange(len(part.target)), part.target])
+        del logp  # freed before the next chunk's forward pass
+    return float(-np.concatenate(picks).sum())
 
 
 def backward(params, hyper, batch):
@@ -349,7 +505,7 @@ def backward(params, hyper, batch):
     dytilde = dpre @ params["U"]
     d = hyper.embed_dim
     dctx = dytilde.reshape(t, hyper.context_size, d).transpose(2, 0, 1)
-    np.add.at(grad("E"), (slice(None), batch.ctx), dctx)
+    _scatter_columns(grad("E"), batch.ctx, dctx)
     return nll
 
 
@@ -365,36 +521,37 @@ def _rows_backward(params, hyper, cache, dlogits):
     drows = denc_logit @ params["W"]
     if hyper.encoder == "bow":
         m = pre["x"].shape[1]
-        np.add.at(grad("F"), (slice(None), pre["x"]),
-                  (drows.T / m)[:, :, None])
+        _scatter_columns(grad("F"), pre["x"], (drows.T / m)[:, :, None])
     else:
         _conv_rows_backward(params, hyper, pre["x"], pre["conv"], drows, grad)
 
 
 def _attention_backward(params, hyper, cache, denc):
-    """Route d(loss)/d(encvec) = denc (T,H) into P, G and F, one run of
-    steps sharing an input row at a time."""
+    """Route d(loss)/d(encvec) = denc (T,H) into P, G and F, one block of
+    runs at a time (see _run_blocks)."""
     grad = params.grad
     pre, attn, query = cache["pre"], cache["attn"], cache["query"]
     xe, xbar = pre["xe"], pre["xbar"]
     dquery = np.empty_like(query)
     dxe, dxbar = np.zeros(xe.shape), np.zeros(xbar.shape)
-    for p, lo, hi in cache["runs"]:
-        a, d = attn[lo:hi], denc[lo:hi]
-        da = d @ xbar[p].T
+    blocks, (a_all, d_all, q_all, dq_all) = _run_blocks(
+        cache["runs"], len(xe), attn, denc, query, dquery)
+    for rows, cut in blocks:
+        a, d, q = a_all[cut], d_all[cut], q_all[cut]
+        da = d @ xbar[rows].swapaxes(-1, -2)
         # softmax backward over input positions
-        dscores = a * (da - (a * da).sum(axis=1, keepdims=True))
-        dquery[lo:hi] = dscores @ xe[p]
-        dxe[p] += dscores.T @ query[lo:hi]
-        dxbar[p] += a.T @ d
+        dscores = a * (da - (a * da).sum(axis=-1, keepdims=True))
+        dq_all[cut] = dscores @ xe[rows]
+        dxe[rows] += dscores.swapaxes(-1, -2) @ q
+        dxbar[rows] += a.swapaxes(-1, -2) @ d
     grad("P")[...] += dquery.T @ cache["ctx_g"]
     dctx_g = dquery @ params["P"]
     ctx = cache["ctx"]
     t, d = ctx.shape[0], hyper.embed_dim
-    np.add.at(grad("G"), (slice(None), ctx),
-              dctx_g.reshape(t, hyper.context_size, d).transpose(2, 0, 1))
+    dctx_g = dctx_g.reshape(t, hyper.context_size, d).transpose(2, 0, 1)
+    _scatter_columns(grad("G"), ctx, dctx_g)
     dxe += _box_mean(dxbar, hyper.window)  # box mean is self-adjoint
-    np.add.at(grad("F"), (slice(None), pre["x"]), dxe.transpose(2, 0, 1))
+    _scatter_columns(grad("F"), pre["x"], dxe.transpose(2, 0, 1))
 
 
 def cond_dist(params, hyper, x, y_c):
@@ -554,10 +711,10 @@ def _read_model(path, payloads):
         expected = param_shapes(hyper)
         if _read_u32(fh) != len(expected):
             raise ValueError("model file tensors do not match its hyperparams")
-        tensors = {}
+        shapes, offsets = {}, {}
         for _ in range(len(expected)):
             name = _read_exact(fh, _read_u32(fh)).decode("utf-8")
-            if name not in expected or name in tensors:
+            if name not in expected or name in shapes:
                 raise ValueError("model file tensors do not match its "
                                  "hyperparams")
             ndim = _read_u32(fh)
@@ -568,16 +725,24 @@ def _read_model(path, payloads):
             nbytes = 8 * math.prod(shape)
             if nbytes > _remaining(fh):
                 raise ValueError("truncated model file")
-            if payloads:
-                # read straight into the array that becomes the parameter
-                tensors[name] = np.empty(shape, dtype="<f8")
-                if fh.readinto(tensors[name]) != nbytes:
-                    raise ValueError("truncated model file")
-            else:
-                fh.seek(nbytes, 1)
-                tensors[name] = shape
+            shapes[name], offsets[name] = shape, fh.tell()
+            fh.seek(nbytes, 1)
         if _remaining(fh):
             raise ValueError("trailing bytes after the last tensor")
+        if not payloads:
+            return version, hyper, shapes
+        # the payloads, checked to fit the file, are read in place into
+        # views of one buffer: one large allocation per load instead of one
+        # per tensor, which costs fewer page faults when a model is loaded
+        # again and again
+        flat = np.empty(sum(map(math.prod, shapes.values())), dtype="<f8")
+        tensors, pos = {}, 0
+        for name, shape in shapes.items():
+            tensors[name] = flat[pos:pos + math.prod(shape)].reshape(shape)
+            pos += math.prod(shape)
+            fh.seek(offsets[name])
+            if fh.readinto(tensors[name]) != tensors[name].nbytes:
+                raise ValueError("truncated model file")
     return version, hyper, tensors
 
 

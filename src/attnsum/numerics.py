@@ -26,10 +26,11 @@ def require_finite(arr, what="array"):
 
 
 def softmax_rows(m):
-    """Row-wise stable softmax of a 2-D array."""
+    """Row-wise stable softmax: over the last axis of a 2-D or stacked
+    (..., rows, cols) array."""
     m = np.asarray(m, dtype=np.float64)
-    e = np.exp(m - m.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_rows(m):
@@ -55,7 +56,10 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = as_tensor(value)
         self._params[name] = arr
-        self._grads[name] = np.zeros_like(arr)
+        # np.zeros, not zeros_like, which writes its zeros: a large buffer
+        # then stays untouched zero pages until a backward pass writes it,
+        # so loading a model to decode never pays for its gradients
+        self._grads[name] = np.zeros(arr.shape)
         return arr
 
     def __contains__(self, name):

@@ -1,13 +1,22 @@
 """SGD training of the conditional model: shuffled mini-batches of pairs
 bucketed by input length, learning-rate halving on validation plateau, and
 per-epoch max-norm renormalization of the embedding tables.
+
+`train` builds one model.StepTable for the training pairs and one for the
+validation pairs before the first epoch, so a bad corpus is rejected before
+any SGD step, and every batch is a gather of index ranges from its table.
+`nll` evaluates each input-length bucket through model.loss, in chunks of
+at most model.LOGIT_BUDGET logits.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Hyperparams, backward, init_params, loss, make_batch
+# make_batch is not called here since batches come from step tables; it
+# stays bound because perfbench times batch assembly as training.make_batch
+from .model import (Hyperparams, backward, init_params, loss, make_batch,
+                    step_table)  # noqa: F401
 
 # embedding tables subject to the max-norm rule; dense weights are untouched
 EMBEDDING_NAMES = ("E", "F", "G")
@@ -56,11 +65,12 @@ def token_count(pairs):
     return sum(len(y) for _, y in pairs)
 
 
-def _batches_by_length(pairs, indices, batch_size):
-    """Chunk (already shuffled) pair indices into batches of uniform input length."""
+def _batches_by_length(in_length, indices, batch_size):
+    """Chunk (already shuffled) pair indices into batches of uniform input
+    length; in_length lists each pair's input length."""
     buckets = {}
     for idx in indices:
-        buckets.setdefault(len(pairs[idx][0]), []).append(idx)
+        buckets.setdefault(in_length[idx], []).append(idx)
     batches = []
     for idxs in buckets.values():
         for i in range(0, len(idxs), batch_size):
@@ -68,15 +78,20 @@ def _batches_by_length(pairs, indices, batch_size):
     return batches
 
 
+def _table_nll(params, hyper, table):
+    """nll of the pairs of a StepTable: model.loss per input-length bucket."""
+    n = len(table.length)
+    total = 0.0
+    for batch_idx in _batches_by_length(table.in_length.tolist(), range(n), n):
+        total += loss(params, hyper, table.batch(batch_idx))
+    return total
+
+
 def nll(params, hyper, pairs):
     """Summed -log p(y_i+1 | x, y_c) over every output token of every pair."""
     if not pairs:
         raise ValueError("empty corpus")
-    total = 0.0
-    for batch_idx in _batches_by_length(pairs, range(len(pairs)), len(pairs)):
-        batch = make_batch([pairs[i] for i in batch_idx], hyper)
-        total += loss(params, hyper, batch)
-    return total
+    return _table_nll(params, hyper, step_table(pairs, hyper))
 
 
 def perplexity(params, hyper, pairs):
@@ -115,6 +130,10 @@ def train(config, train_pairs, valid_pairs, epoch_callback=None):
     if not train_pairs or not valid_pairs:
         raise ValueError("training and validation corpora must be nonempty")
     hyper = config.hyperparams
+    train_table = step_table(train_pairs, hyper)
+    valid_table = step_table(valid_pairs, hyper)
+    in_length = train_table.in_length.tolist()
+    valid_tokens = len(valid_table.target)
     params = init_params(hyper, config.seed)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     lr = float(config.learning_rate)
@@ -123,15 +142,14 @@ def train(config, train_pairs, valid_pairs, epoch_callback=None):
     history = []
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_pairs))
-        batches = _batches_by_length(train_pairs, order, config.batch_size)
+        batches = _batches_by_length(in_length, order, config.batch_size)
         batch_order = rng.permutation(len(batches))
         epoch_nll = 0.0
         # divergence is caught by the explicit finiteness checks below, so
         # transient IEEE overflow warnings on the way there are silenced
         with np.errstate(over="ignore", invalid="ignore"):
             for bi in batch_order:
-                chosen = [train_pairs[i] for i in batches[bi]]
-                batch = make_batch(chosen, hyper)
+                batch = train_table.batch(batches[bi])
                 params.zero_grads()
                 batch_nll = backward(params, hyper, batch)
                 if not np.isfinite(batch_nll):
@@ -149,11 +167,11 @@ def train(config, train_pairs, valid_pairs, epoch_callback=None):
                         f"lr {lr}; lower the learning rate") from exc
         with np.errstate(over="ignore", invalid="ignore"):
             renormalize_embeddings(params, config.renorm_max_norm)
-            valid_nll = nll(params, hyper, valid_pairs)
+            valid_nll = _table_nll(params, hyper, valid_table)
             if not np.isfinite(valid_nll):
                 raise TrainingDiverged(
                     f"non-finite validation NLL after epoch {epoch}, lr {lr}")
-            valid_ppl = float(np.exp(valid_nll / token_count(valid_pairs)))
+            valid_ppl = float(np.exp(valid_nll / valid_tokens))
         record = EpochRecord(
             epoch=epoch, train_nll=epoch_nll, valid_nll=valid_nll,
             valid_perplexity=valid_ppl, learning_rate=lr)

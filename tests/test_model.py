@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -489,3 +490,214 @@ def test_saved_model_decodes_identically(tmp_path):
     a = cond_dist(params, hyper, x, [1, 1])
     b = cond_dist(loaded, hyper, x, [1, 1])
     assert np.array_equal(a, b)
+
+
+# --- exact kernels against plain numpy references ---------------------------
+# Each reference below is the straightforward numpy formulation; the kernels
+# must equal it bit for bit, signed zeros included.
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def awkward_values(rng, shape):
+    """Normal draws scaled by 1e-300..1e300, with +0.0 and -0.0 sprinkled in."""
+    vals = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+    pick = rng.random(size=shape)
+    vals[pick < 0.15] = 0.0
+    vals[pick > 0.85] = -0.0
+    return vals
+
+
+def reference_box_mean(xe, q):
+    if q == 0:
+        return xe.copy()
+    pad = [(0, 0)] * xe.ndim
+    pad[-2] = (q, q)
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.pad(xe, pad), 2 * q + 1, axis=xe.ndim - 2)
+    return win.sum(axis=-1) / (2 * q + 1)
+
+
+def test_box_mean_matches_window_sum_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        q = trial % 4
+        shape = tuple(rng.integers(1, 6, size=rng.integers(2, 4)))
+        xe = awkward_values(rng, shape)
+        if trial % 3 == 0:
+            xe = rng.choice([0.0, -0.0, 1.5, -2.25], size=shape)
+        assert same_bits(model._box_mean(xe, q), reference_box_mean(xe, q))
+
+
+def test_scatter_columns_matches_add_at_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for trial in range(200):
+        d, v = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        ids = rng.integers(0, v, size=tuple(rng.integers(1, 12, size=2)))
+        vals = awkward_values(rng, (d,) + ids.shape)
+        if trial % 2:
+            # values of wildly different size: the order of addition shows
+            vals = rng.normal(size=vals.shape) * 10.0 ** rng.integers(
+                -8, 9, size=vals.shape)
+        if trial % 5 == 0:  # a (D, P, 1) value broadcast along each row
+            vals = vals[:, :, :1]
+        want = np.zeros((d, v))
+        np.add.at(want, (slice(None), ids), vals)
+        got = np.zeros((d, v))
+        model._scatter_columns(got, ids, vals)
+        assert same_bits(got, want)
+
+
+def reference_batch(pairs, context_size):
+    return StepBatch(
+        x=np.array([x for x, _ in pairs], dtype=np.int64),
+        pair_of=np.concatenate([np.full(len(y), p, dtype=np.int64)
+                                for p, (_, y) in enumerate(pairs)]),
+        ctx=np.concatenate([context_windows(y, context_size)
+                            for _, y in pairs]),
+        target=np.concatenate([np.asarray(y, dtype=np.int64)
+                               for _, y in pairs]))
+
+
+def assert_same_batch(got, want):
+    for field in ("x", "pair_of", "ctx", "target"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def test_step_table_batches_match_per_pair_context_windows():
+    rng = np.random.default_rng(33)
+    for c in (1, 2, 5):  # 5 is longer than most heads below
+        hyper = Hyperparams(vocab_size=30, embed_dim=2, hidden_dim=2,
+                            context_size=c)
+        pairs = [(list(rng.integers(0, 30, size=int(rng.integers(1, 4)))),
+                  list(rng.integers(0, 30, size=int(rng.integers(1, 7)))))
+                 for _ in range(40)]
+        table = model.step_table(pairs, hyper)
+        for m in (1, 2, 3):
+            idx = [i for i in rng.permutation(len(pairs))
+                   if len(pairs[i][0]) == m]
+            chosen = [pairs[i] for i in idx]
+            assert_same_batch(table.batch(idx), reference_batch(chosen, c))
+            assert_same_batch(make_batch(chosen, hyper),
+                              reference_batch(chosen, c))
+
+
+def per_run_attention(cache):
+    """attn, encvec of a forward cache, one run of steps at a time."""
+    pre, query = cache["pre"], cache["query"]
+    attn = np.empty((len(query), pre["xe"].shape[1]))
+    encvec = np.empty_like(query)
+    for p, lo, hi in cache["runs"]:
+        attn[lo:hi] = model.softmax_rows(query[lo:hi] @ pre["xe"][p].T)
+        encvec[lo:hi] = attn[lo:hi] @ pre["xbar"][p]
+    return attn, encvec
+
+
+def per_run_attention_grads(params, hyper, cache, denc):
+    """d(P), d(G), d(F) from d(encvec) = denc, one run at a time, scattered
+    with np.add.at."""
+    pre, attn, query = cache["pre"], cache["attn"], cache["query"]
+    xe, xbar = pre["xe"], pre["xbar"]
+    dquery = np.empty_like(query)
+    dxe, dxbar = np.zeros(xe.shape), np.zeros(xbar.shape)
+    for p, lo, hi in cache["runs"]:
+        a, d = attn[lo:hi], denc[lo:hi]
+        da = d @ xbar[p].T
+        dscores = a * (da - (a * da).sum(axis=1, keepdims=True))
+        dquery[lo:hi] = dscores @ xe[p]
+        dxe[p] += dscores.T @ query[lo:hi]
+        dxbar[p] += a.T @ d
+    ctx, t = cache["ctx"], len(query)
+    dctx_g = (dquery @ params["P"]).reshape(t, hyper.context_size, -1)
+    grads = {"P": dquery.T @ cache["ctx_g"],
+             "G": np.zeros(params["G"].shape), "F": np.zeros(params["F"].shape)}
+    np.add.at(grads["G"], (slice(None), ctx), dctx_g.transpose(2, 0, 1))
+    dxe += reference_box_mean(dxbar, hyper.window)
+    np.add.at(grads["F"], (slice(None), pre["x"]), dxe.transpose(2, 0, 1))
+    return grads
+
+
+@pytest.mark.parametrize("head_lengths", [(4, 4, 4), (1, 1), (3, 5, 2, 3)])
+def test_stacked_attention_matches_per_run_loop(head_lengths):
+    rng = np.random.default_rng(34)
+    hyper = Hyperparams(vocab_size=20, embed_dim=3, hidden_dim=5,
+                        context_size=2, encoder="attention", window=2)
+    params = init_params(hyper, 35)
+    for name in params.names():
+        params[name] = rng.normal(size=params[name].shape)
+    pairs = [(rng.integers(0, 20, size=6), rng.integers(0, 20, size=n))
+             for n in head_lengths]
+    batch = make_batch(pairs, hyper)
+    cache = model.forward(params, hyper, batch)
+    attn, encvec = per_run_attention(cache)
+    assert same_bits(cache["attn"], attn)
+    assert same_bits(cache["encvec"], encvec)
+    denc = rng.normal(size=encvec.shape)
+    params.zero_grads()
+    model._attention_backward(params, hyper, cache, denc)
+    want = per_run_attention_grads(params, hyper, cache, denc)
+    for name in ("P", "G", "F"):
+        assert same_bits(params.grad(name), want[name]), name
+
+
+def test_pool_pairs_matches_argmax_rule():
+    rng = np.random.default_rng(36)
+    special = np.array([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+    for trial in range(200):
+        n_p, m, h = (int(v) for v in rng.integers(1, 7, size=3))
+        z = rng.choice(special, size=(n_p, m, h))
+        if trial % 2:
+            z = np.where(rng.random(z.shape) < 0.5, z,
+                         rng.normal(size=z.shape))
+        n_pair = m // 2
+        pair = z[:, :2 * n_pair].reshape(n_p, n_pair, 2, h)
+        arg = pair.argmax(axis=2)
+        want = np.take_along_axis(pair, arg[:, :, None], axis=2)[:, :, 0]
+        pooled, amax = model._pool_pairs(z)
+        assert same_bits(pooled, want)
+        assert np.array_equal(amax, arg == 1)
+    # a -0.0/+0.0 tie keeps the even step's zero, as argmax does
+    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+        pooled, amax = model._pool_pairs(np.array([[[first], [second]]]))
+        assert not amax.any() and same_bits(pooled, np.array([[[first]]]))
+
+
+def conv_gradient_digest(window, hidden_dim, n_pairs):
+    """sha256 prefix of every gradient of one backward pass of a two-layer
+    conv model over the first n_pairs of five seeded pairs."""
+    rng = np.random.default_rng(2024)
+    pairs = [(rng.integers(3, 16, size=7), rng.integers(3, 16, size=n))
+             for n in (3, 2, 4, 3, 1)][:n_pairs]
+    hyper = Hyperparams(vocab_size=16, embed_dim=3, hidden_dim=hidden_dim,
+                        context_size=2, encoder="conv", conv_layers=2,
+                        window=window)
+    params = init_params(hyper, 9)
+    backward(params, hyper, make_batch(pairs, hyper))
+    digest = hashlib.sha256()
+    for name in params.names():
+        digest.update(params.grad(name).tobytes())
+    return digest.hexdigest()[:16]
+
+
+# conv_gradient_digest(window, hidden_dim, n_pairs), recorded once and kept
+# as they are. The dQ einsum's order of summation follows the memory order
+# of the window matrix, so these pin it to the last bit where a training
+# history would not: a last-bit change to a filter gradient of about 1e-4
+# is lost in the update of a filter entry of about 0.05. Window 0 pins both
+# layouts of the one-step window matrix: time-major for a single row's
+# first layer, channel-major otherwise. hidden_dim 1 pins the products of
+# a one-channel window matrix.
+GOLDEN_CONV_GRADIENTS = {
+    (0, 8, 1): "990bfff273aa9125",
+    (0, 8, 5): "67153948d58dde9f",
+    (1, 1, 1): "fef8d0e86635d112",
+    (1, 1, 5): "b5c993b051b61d36",
+}
+
+
+def test_golden_conv_gradients():
+    got = {key: conv_gradient_digest(*key) for key in GOLDEN_CONV_GRADIENTS}
+    assert got == GOLDEN_CONV_GRADIENTS

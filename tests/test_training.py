@@ -215,3 +215,144 @@ def test_config_validation():
 
 def test_token_count():
     assert token_count([([1], [2, 3]), ([4], [5])]) == 3
+
+
+def _golden_corpora():
+    rng = np.random.default_rng(2024)
+    draw = lambda m, n: (list(rng.integers(3, 16, size=m)),  # noqa: E731
+                         list(rng.integers(3, 16, size=n)))
+    equal = [draw(6, 4) for _ in range(10)], [draw(6, 4) for _ in range(3)]
+    ragged = ([draw(m, n) for m, n in zip([4, 6] * 5,
+                                          [1, 3, 2, 5, 4, 1, 3, 5, 2, 4])],
+              [draw(m, n) for m, n in [(4, 2), (6, 5), (4, 3)]])
+    return {"equal": equal, "ragged": ragged}
+
+
+# (train_nll, valid_nll, valid_perplexity, learning_rate) of each epoch of
+# the training run in test_golden_training_history, as .hex() literals. They
+# were recorded once and are kept as they are: a change to batching or to
+# the model's arithmetic that moves any bit fails here. The equal-length
+# corpus takes the stacked attention path, the ragged one the per-run loop.
+GOLDEN_HISTORIES = {
+    ("equal", "none"): [
+        ("0x1.bbd75fae85253p+6", "0x1.08aec5d2d498ap+5",
+         "0x1.f822fd89c2b06p+3", "0x1.0000000000000p-1"),
+        ("0x1.b10ec70484a0ep+6", "0x1.09f4ef1d7a0f9p+5",
+         "0x1.fedf37c3723acp+3", "0x1.0000000000000p-1")],
+    ("equal", "bow"): [
+        ("0x1.bb133132f8ed6p+6", "0x1.08c8e8549ff8ap+5",
+         "0x1.f8ac4ee9f14e9p+3", "0x1.0000000000000p-1"),
+        ("0x1.a842af394196cp+6", "0x1.0c2fcb27d57c0p+5",
+         "0x1.0570535c41877p+4", "0x1.0000000000000p-1")],
+    ("equal", "conv"): [
+        ("0x1.bb10248512812p+6", "0x1.08c1420933495p+5",
+         "0x1.f88419bd2eaadp+3", "0x1.0000000000000p-1"),
+        ("0x1.a842ba664129dp+6", "0x1.0c2796cc97b3ep+5",
+         "0x1.0559fc5f0cd59p+4", "0x1.0000000000000p-1")],
+    ("equal", "attention"): [
+        ("0x1.bb13376b911bep+6", "0x1.08c9d0f1f640cp+5",
+         "0x1.f8b115cb439d3p+3", "0x1.0000000000000p-1"),
+        ("0x1.a842f252cae92p+6", "0x1.0c30a3b8da437p+5",
+         "0x1.0572a12685036p+4", "0x1.0000000000000p-1")],
+    ("ragged", "none"): [
+        ("0x1.4a6f9f5b57832p+6", "0x1.b8f19c80ae99cp+4",
+         "0x1.f7868fc5dbb61p+3", "0x1.0000000000000p-1"),
+        ("0x1.43463e76224bep+6", "0x1.b24412fd62aa6p+4",
+         "0x1.e2f15042bb344p+3", "0x1.0000000000000p-1")],
+    ("ragged", "bow"): [
+        ("0x1.49b8fdbf2dcc7p+6", "0x1.b8976cf8d8d82p+4",
+         "0x1.f66b0e6e5fdb8p+3", "0x1.0000000000000p-1"),
+        ("0x1.3fc60f59ff4e9p+6", "0x1.ae886b4f15f6cp+4",
+         "0x1.d7ce29a4af07fp+3", "0x1.0000000000000p-1")],
+    ("ragged", "conv"): [
+        ("0x1.49b914375e4bfp+6", "0x1.b89581fc5248ep+4",
+         "0x1.f66508b6cba40p+3", "0x1.0000000000000p-1"),
+        ("0x1.3fc9869fb3c7ap+6", "0x1.ae836a45ab7e0p+4",
+         "0x1.d7bf685fcc167p+3", "0x1.0000000000000p-1")],
+    ("ragged", "attention"): [
+        ("0x1.49b8664348aa8p+6", "0x1.b89a2558dc32ep+4",
+         "0x1.f673993359bbcp+3", "0x1.0000000000000p-1"),
+        ("0x1.3fc6509253a9cp+6", "0x1.ae8a83630767bp+4",
+         "0x1.d7d4567614cecp+3", "0x1.0000000000000p-1")],
+}
+
+
+def test_golden_training_history():
+    corpora = _golden_corpora()
+    for (corpus, encoder), want in GOLDEN_HISTORIES.items():
+        hyper = Hyperparams(vocab_size=16, embed_dim=3, hidden_dim=4,
+                            context_size=2, encoder=encoder, conv_layers=2,
+                            window=1)
+        config = TrainConfig(hyper, max_epochs=2, learning_rate=0.5,
+                             batch_size=4, seed=9)
+        _, history = train(config, *corpora[corpus])
+        got = [(r.train_nll.hex(), r.valid_nll.hex(),
+                r.valid_perplexity.hex(), r.learning_rate.hex())
+               for r in history]
+        assert [r.epoch for r in history] == [1, 2]
+        assert got == want, (corpus, encoder)
+
+
+def test_nll_memory_stays_within_the_logit_budget():
+    import tracemalloc
+
+    from attnsum import model
+    hyper = Hyperparams(vocab_size=5000, embed_dim=4, hidden_dim=6,
+                        context_size=2, encoder="bow")
+    params = init_params(hyper, 1)
+    rng = np.random.default_rng(7)
+    pairs = [(list(rng.integers(3, 5000, size=5)),
+              list(rng.integers(3, 5000, size=20))) for _ in range(200)]
+    # 4000 steps x 5000 words: about five budgets of logits
+    assert token_count(pairs) * hyper.vocab_size > 4 * model.LOGIT_BUDGET
+    tracemalloc.start()
+    try:
+        nll(params, hyper, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a forward pass holds at most three (T,V) float64 arrays at once, the
+    # logits and two in the log-softmax; one batch would need 480 MB
+    assert peak < 3 * 8 * model.LOGIT_BUDGET + (8 << 20)
+
+
+def test_chunked_nll_matches_one_batch(monkeypatch):
+    from attnsum import model
+    rng = np.random.default_rng(8)
+    for encoder in ("none", "bow", "conv", "attention"):
+        hyper = small_hyper(encoder, vocab=40)
+        params = init_params(hyper, 3)
+        pairs = random_corpus(rng, hyper, 30, m_range=(3, 5), n_range=(1, 9))
+        whole = nll(params, hyper, pairs)
+        monkeypatch.setattr(model, "LOGIT_BUDGET", 7 * hyper.vocab_size)
+        chunked = nll(params, hyper, pairs)
+        monkeypatch.undo()
+        assert math.isclose(chunked, whole, rel_tol=1e-12)
+        assert chunked != 0.0
+
+
+@pytest.mark.parametrize("part", ["train", "valid"])
+@pytest.mark.parametrize("bad, message", [
+    (([3, 4], [5, 99]), "output ids out of range"),
+    (([3, 99], [5]), "input ids out of range"),
+    (([3, 4], []), "empty sequence in pair"),
+    (([], [5]), "empty sequence in pair"),
+])
+def test_bad_corpus_rejected_before_any_step(part, bad, message,
+                                            monkeypatch):
+    from attnsum import training
+    steps = []
+    backward = training.backward
+    monkeypatch.setattr(training, "backward",
+                        lambda *args: steps.append(1) or backward(*args))
+    hyper = small_hyper("attention")
+    rng = np.random.default_rng(9)
+    corpora = {"train": random_corpus(rng, hyper, 12),
+               "valid": random_corpus(rng, hyper, 3)}
+    corpora[part] = corpora[part] + [bad]  # last, so late in every order
+    calls = []
+    config = TrainConfig(hyperparams=hyper, max_epochs=2, seed=1)
+    with pytest.raises(ValueError, match=message):
+        train(config, corpora["train"], corpora["valid"],
+              epoch_callback=lambda *args: calls.append(args))
+    assert calls == [] and steps == []
