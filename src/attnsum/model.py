@@ -19,9 +19,10 @@ the input sentences, with one id check over the whole corpus. A StepBatch
 it, StepTable.batch. make_batch(pairs, hyper) is the one-off form: a table
 of just those pairs, gathered whole.
 
-Attention steps are grouped in runs that share an input row. When every
-row has one run of the same length, as in a batch of equal-length outputs,
-encode and its backward pass run each product once, stacked over rows;
+Steps are grouped in runs that share an input row. When every row has one
+run of the same length, as in a batch of equal-length outputs, encode and
+its backward pass run each product once, stacked over rows: the attention
+products, and the bow/conv rows' share of the logits and its gradient;
 otherwise (ragged runs, or the one run of a decode step) they run 2-D
 products one run at a time. The stacked products agree with the per-run
 ones bit for bit.
@@ -53,6 +54,10 @@ from .numerics import ParamStore, log_softmax_rows, softmax_rows
 ENCODERS = ("none", "bow", "conv", "attention")
 
 _MAGIC = b"ASUM"
+
+# the fewest bytes a tensor record of a valid model file can take: name
+# length, a 1-byte name, ndim, one dimension and one float64
+_MIN_RECORD = 4 + 1 + 4 + 4 + 8
 
 # the most logits (steps x vocabulary) that loss evaluates in one forward
 # pass: 32 MB of float64 per (T,V) array
@@ -100,6 +105,13 @@ def param_shapes(hyper):
         shapes["G"] = (d, v)
         shapes["P"] = (h, c * d)
     return shapes
+
+
+def _tensor_count(hyper):
+    """len(param_shapes(hyper)), computed without building the dict."""
+    return (5 + 3 * (hyper.encoder != "none")
+            + hyper.conv_layers * (hyper.encoder == "conv")
+            + 2 * (hyper.encoder == "attention"))
 
 
 def init_params(hyper, seed):
@@ -291,20 +303,11 @@ def _conv_rows(params, hyper, x_rows, activation=np.tanh):
     for l in range(1, hyper.conv_layers + 1):
         n_p, m, _ = cur.shape
         # winflat[p, i, off*H + c] = cur[p, i + off - q, c], zero off the ends
-        if q == 0:
-            # one-step windows: winflat is a copy of cur. The dQ einsum's
-            # summation order follows its memory order, so it is kept as
-            # the zero-width np.pad copy laid it out: time-major for a
-            # single row's embeddings, channel-major otherwise (both pinned
-            # by test_golden_conv_gradients)
-            winflat = cur.copy() if l == 1 and n_p == 1 else \
-                np.ascontiguousarray(cur.transpose(0, 2, 1)).transpose(0, 2, 1)
-        else:
-            winflat = np.zeros((n_p, m, (2 * q + 1) * h))
-            for off in range(max(0, q - m + 1), min(2 * q, q + m - 1) + 1):
-                lo, hi = max(0, q - off), min(m, m + q - off)
-                winflat[:, lo:hi, off * h:(off + 1) * h] = \
-                    cur[:, lo + off - q:hi + off - q]
+        winflat = np.zeros((n_p, m, (2 * q + 1) * h))
+        for off in range(max(0, q - m + 1), min(2 * q, q + m - 1) + 1):
+            lo, hi = max(0, q - off), min(m, m + q - off)
+            winflat[:, lo:hi, off * h:(off + 1) * h] = \
+                cur[:, lo + off - q:hi + off - q]
         z = winflat @ params[f"Q{l}"].T  # (P, m, H)
         pooled, amax = _pool_pairs(z)
         if m % 2:
@@ -330,8 +333,8 @@ def _conv_rows_backward(params, hyper, x_rows, cache, denc_rows, grad):
         n_p = out.shape[0]
         dpooled = dcur * (1.0 - out * out)
         n_pair = m // 2
-        # dz is stored (P, H, m): the dQ einsum and the dwin product read
-        # this layout, and a different one could change their bits
+        # dz is stored (P, H, m): the dwin product reads this layout, and
+        # time-major storage changes its bits
         dzt = np.zeros((n_p, h, m)).transpose(0, 2, 1)  # (P, m, H)
         if n_pair:
             amax, dpair = layer["amax"], dpooled[:, :n_pair]
@@ -339,7 +342,10 @@ def _conv_rows_backward(params, hyper, x_rows, cache, denc_rows, grad):
             dzt[:, 1:2 * n_pair:2] = np.where(amax, dpair, 0.0)
         if m % 2:
             dzt[:, -1] = dpooled[:, -1]
-        grad(f"Q{l}")[...] += np.einsum("pmh,pmk->hk", dzt, layer["winflat"])
+        # one gemm sums dz's outer products with the window vectors over
+        # all P*m positions
+        grad(f"Q{l}")[...] += (dzt.reshape(n_p * m, h).T
+                               @ layer["winflat"].reshape(n_p * m, -1))
         dwin = (dzt @ params[f"Q{l}"]).reshape(n_p, m, span, h)
         dcur = np.zeros((n_p, m, h))
         for off in range(max(0, q - m + 1), min(2 * q, q + m - 1) + 1):
@@ -370,7 +376,7 @@ def _runs(pair_of):
 
 
 def _run_blocks(runs, n_rows, *steps):
-    """The attention steps in blocks, each run as one set of products:
+    """The steps in blocks, each run as one set of products:
     returns (blocks, views), where each block (rows, cut) reads input rows
     `rows` and the steps view[cut] of each of the (T, .) arrays `steps`.
 
@@ -420,7 +426,8 @@ def encode(params, hyper, pre, ctx, pair_of):
     """
     ytilde = _context_embed(params["E"], ctx)
     h = np.tanh(ytilde @ params["U"].T + params["b_U"])
-    logits = h @ params["V"].T + params["b_V"]
+    logits = h @ params["V"].T
+    logits += params["b_V"]
     runs = _runs(pair_of)
     cache = {"pre": pre, "ctx": ctx, "runs": runs, "ytilde": ytilde, "h": h}
     if hyper.encoder == "attention":
@@ -433,11 +440,13 @@ def encode(params, hyper, pre, ctx, pair_of):
         for rows, cut in blocks:
             a[cut] = softmax_rows(q[cut] @ xe[rows].swapaxes(-1, -2))
             e[cut] = a[cut] @ xbar[rows]
-        logits = logits + encvec @ params["W"].T + params["b_W"]
+        logits += encvec @ params["W"].T
+        logits += params["b_W"]
         cache.update(ctx_g=ctx_g, query=query, attn=attn, encvec=encvec)
     elif hyper.encoder != "none":
-        for p, lo, hi in runs:
-            logits[lo:hi] += pre["enc_logit"][p]
+        blocks, (lg,) = _run_blocks(runs, len(pre["x"]), logits)
+        for rows, cut in blocks:
+            lg[cut] += pre["enc_logit"][rows, None]
     return logits, cache
 
 
@@ -515,8 +524,9 @@ def _rows_backward(params, hyper, cache, dlogits):
     grad = params.grad
     pre = cache["pre"]
     denc_logit = np.zeros_like(pre["enc_logit"])
-    for p, lo, hi in cache["runs"]:
-        denc_logit[p] += dlogits[lo:hi].sum(axis=0)
+    blocks, (dl,) = _run_blocks(cache["runs"], len(denc_logit), dlogits)
+    for rows, cut in blocks:
+        denc_logit[rows] += dl[cut].sum(axis=-2)
     grad("W")[...] += denc_logit.T @ pre["rows"]
     drows = denc_logit @ params["W"]
     if hyper.encoder == "bow":
@@ -708,9 +718,14 @@ def _read_model(path, payloads):
     """
     with open(path, "rb") as fh:
         version, hyper = _read_header(fh)
-        expected = param_shapes(hyper)
-        if _read_u32(fh) != len(expected):
+        # the tensor count is checked before param_shapes builds one entry
+        # per conv layer, a raw u32 of the header
+        count = _read_u32(fh)
+        if count != _tensor_count(hyper):
             raise ValueError("model file tensors do not match its hyperparams")
+        if count * _MIN_RECORD > _remaining(fh):
+            raise ValueError("truncated model file")
+        expected = param_shapes(hyper)
         shapes, offsets = {}, {}
         for _ in range(len(expected)):
             name = _read_exact(fh, _read_u32(fh)).decode("utf-8")

@@ -96,7 +96,10 @@ class FeatureWeights:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+            try:
+                d = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply") from None
         try:
             return cls.from_dict(d)
         except ValueError as exc:

@@ -6,6 +6,7 @@ import collections
 import json
 import os
 import pathlib
+import resource
 import shutil
 import struct
 import subprocess
@@ -78,12 +79,13 @@ def test_usage_and_version_exit_codes(capsys):
     assert main(["no-such-command"]) == 1
 
 
-def run_tool(command):
+def run_tool(command, **kwargs):
     """Run `command` in a subprocess that imports the `attnsum` under test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run(command, capture_output=True, text=True, env=env)
+    return subprocess.run(command, capture_output=True, text=True, env=env,
+                          **kwargs)
 
 
 def test_console_script_is_installed():
@@ -356,25 +358,45 @@ def _damage_model(data, damage):
         return data + b"\x00" * 8
     if damage == "truncated payload":
         return data[:-8]  # inside the last tensor's payload
+    if damage.startswith("huge"):
+        # a conv model: conv_layers follows the magic, version, encoder
+        # name, V, D, H and C, and the tensor count follows the window
+        at = 12 + len(b"conv") + 16
+        layers = 2 ** 32 - 1 if damage == "huge conv_layers" else 10 ** 7
+        data = data[:at] + struct.pack("<I", layers) + data[at + 4:]
+        if damage == "huge tensor count":
+            data = data[:at + 8] + struct.pack("<I", 8 + layers) + \
+                data[at + 12:]
+        return data
     # hidden_dim follows the magic, version, encoder name, V and D
     at = 12 + len(b"attention") + 8
     return data[:at] + struct.pack("<I", 2 ** 30) + data[at + 4:]
+
+
+def _limit_memory():
+    # a loader that builds what a hostile header asks for fails here
+    # (MemoryError) instead of exhausting the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.mark.parametrize("damage, message", [
     ("trailing bytes", "trailing bytes"),
     ("truncated payload", "truncated"),
     ("header contradicts tensors", "tensor F has shape (4, 8)"),
+    ("huge conv_layers", "model file tensors do not match its hyperparams"),
+    ("huge tensor count", "truncated model file"),
 ])
 def test_malformed_model_file_is_a_data_error(tmp_path, damage, message):
-    mpath, vpath, *_ = save_toy_model(tmp_path)
+    encoder = "conv" if damage.startswith("huge") else "attention"
+    mpath, vpath, *_ = save_toy_model(tmp_path, encoder)
     mpath.write_bytes(_damage_model(mpath.read_bytes(), damage))
     inp = tmp_path / "input.txt"
     inp.write_text("alpha bravo\n", encoding="utf-8")
     for args in (["decode", "--model", str(mpath), "--vocab", str(vpath),
                   "--input", str(inp), "--N", "2"],
                  ["describe", "--model", str(mpath)]):
-        proc = run_tool([sys.executable, "-m", "attnsum"] + args)
+        proc = run_tool([sys.executable, "-m", "attnsum"] + args,
+                        preexec_fn=_limit_memory)
         assert proc.returncode == 2, (args, proc.stderr)
         assert f"error: {message}" in proc.stderr, args
         assert "Traceback" not in proc.stderr, args
@@ -439,9 +461,10 @@ WEIGHTS = ('"log_prob": 1.0, "unigram": 0.0, "bigram": 0.0, '
     "{" + WEIGHTS + ', "reorder": 0.0, "length": 0.0}',
     "{" + WEIGHTS + ', "reorder": NaN}',
     "{" + WEIGHTS,
+    "[" * 100000,
 ], ids=["list", "string", "null", "bools", "null value", "string value",
         "list value", "huge int", "missing name", "extra name", "nan",
-        "not json"])
+        "not json", "deeply nested"])
 def test_malformed_weights_file_is_a_data_error(tmp_path, text):
     mpath, vpath = biased_model_files(tmp_path)
     inp = tmp_path / "input.txt"

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 
@@ -117,6 +118,13 @@ def test_param_shapes_per_encoder():
         with_enc, Q1=(6, 18), Q2=(6, 18))
     assert param_shapes(tiny_hyper("attention")) == dict(
         with_enc, G=(4, 20), P=(6, 8))
+
+
+def test_tensor_count_matches_param_shapes():
+    for encoder, layers in itertools.product(ENCODERS, (1, 2, 5)):
+        hyper = Hyperparams(encoder=encoder, conv_layers=layers, window=1,
+                            **TINY)
+        assert model._tensor_count(hyper) == len(param_shapes(hyper))
 
 
 def test_init_reproducible_and_seed_sensitive():
@@ -620,8 +628,41 @@ def per_run_attention_grads(params, hyper, cache, denc):
     return grads
 
 
-@pytest.mark.parametrize("head_lengths", [(4, 4, 4), (1, 1), (3, 5, 2, 3)])
+def per_run_row_logits(params, cache):
+    """bow/conv logits of a forward cache: each run of steps adds its row's
+    enc_logit, one run at a time."""
+    logits = cache["h"] @ params["V"].T + params["b_V"]
+    for p, lo, hi in cache["runs"]:
+        logits[lo:hi] += cache["pre"]["enc_logit"][p]
+    return logits
+
+
+def per_run_row_grads(params, hyper, cache, dlogits):
+    """d(W), d(F) (and conv's d(Q)) from dlogits, each run's dlogits summed
+    into its row one run at a time; bow's F scattered with np.add.at."""
+    pre = cache["pre"]
+    denc_logit = np.zeros(pre["enc_logit"].shape)
+    for p, lo, hi in cache["runs"]:
+        denc_logit[p] += dlogits[lo:hi].sum(axis=0)
+    drows = denc_logit @ params["W"]
+    grads = {name: np.zeros(params[name].shape) for name in params.names()}
+    grads["W"] = denc_logit.T @ pre["rows"]
+    if hyper.encoder == "bow":
+        m = pre["x"].shape[1]
+        np.add.at(grads["F"], (slice(None), pre["x"]),
+                  (drows.T / m)[:, :, None])
+    else:
+        model._conv_rows_backward(params, hyper, pre["x"], pre["conv"],
+                                  drows, grads.__getitem__)
+    return grads
+
+
+# (2, 4, 3, 3) is ragged but holds a whole number of steps per row
+@pytest.mark.parametrize("head_lengths", [(4, 4, 4), (1, 1), (3, 5, 2, 3),
+                                          (2, 4, 3, 3)])
 def test_stacked_attention_matches_per_run_loop(head_lengths):
+    """The stacked runs of encode and of the attention and bow/conv backward
+    passes against per-run loops, bit for bit."""
     rng = np.random.default_rng(34)
     hyper = Hyperparams(vocab_size=20, embed_dim=3, hidden_dim=5,
                         context_size=2, encoder="attention", window=2)
@@ -641,6 +682,23 @@ def test_stacked_attention_matches_per_run_loop(head_lengths):
     want = per_run_attention_grads(params, hyper, cache, denc)
     for name in ("P", "G", "F"):
         assert same_bits(params.grad(name), want[name]), name
+    for encoder in ("bow", "conv"):
+        hyper = Hyperparams(vocab_size=20, embed_dim=3, hidden_dim=5,
+                            context_size=2, encoder=encoder, conv_layers=2,
+                            window=1)
+        params = init_params(hyper, 36)
+        for name in params.names():
+            params[name] = rng.normal(size=params[name].shape)
+        logits, cache = model.encode(
+            params, hyper, model.precompute(params, hyper, batch.x),
+            batch.ctx, batch.pair_of)
+        assert same_bits(logits, per_run_row_logits(params, cache)), encoder
+        dlogits = rng.normal(size=logits.shape)
+        params.zero_grads()
+        model._rows_backward(params, hyper, cache, dlogits)
+        want = per_run_row_grads(params, hyper, cache, dlogits)
+        for name in params.names():
+            assert same_bits(params.grad(name), want[name]), (encoder, name)
 
 
 def test_pool_pairs_matches_argmax_rule():
@@ -665,9 +723,10 @@ def test_pool_pairs_matches_argmax_rule():
         assert not amax.any() and same_bits(pooled, np.array([[[first]]]))
 
 
-def conv_gradient_digest(window, hidden_dim, n_pairs):
-    """sha256 prefix of every gradient of one backward pass of a two-layer
-    conv model over the first n_pairs of five seeded pairs."""
+def conv_gradient_digests(window, hidden_dim, n_pairs):
+    """sha256 prefixes of the gradients of one backward pass of a two-layer
+    conv model over the first n_pairs of five seeded pairs: (every gradient
+    but the filters', the filters' Q1 and Q2)."""
     rng = np.random.default_rng(2024)
     pairs = [(rng.integers(3, 16, size=7), rng.integers(3, 16, size=n))
              for n in (3, 2, 4, 3, 1)][:n_pairs]
@@ -676,28 +735,95 @@ def conv_gradient_digest(window, hidden_dim, n_pairs):
                         window=window)
     params = init_params(hyper, 9)
     backward(params, hyper, make_batch(pairs, hyper))
-    digest = hashlib.sha256()
+    others, filters = hashlib.sha256(), hashlib.sha256()
     for name in params.names():
-        digest.update(params.grad(name).tobytes())
-    return digest.hexdigest()[:16]
+        (filters if name.startswith("Q") else others).update(
+            params.grad(name).tobytes())
+    return others.hexdigest()[:16], filters.hexdigest()[:16]
 
 
-# conv_gradient_digest(window, hidden_dim, n_pairs), recorded once and kept
-# as they are. The dQ einsum's order of summation follows the memory order
-# of the window matrix, so these pin it to the last bit where a training
-# history would not: a last-bit change to a filter gradient of about 1e-4
-# is lost in the update of a filter entry of about 0.05. Window 0 pins both
-# layouts of the one-step window matrix: time-major for a single row's
-# first layer, channel-major otherwise. hidden_dim 1 pins the products of
-# a one-channel window matrix.
+# conv_gradient_digests(window, hidden_dim, n_pairs): last-bit pins that a
+# training history cannot give (a last-bit change to a filter gradient of
+# about 1e-4 is lost in the update of a filter entry of about 0.05). The
+# first digest covers every gradient but the filters' and is kept as it is.
+# The second covers Q1 and Q2, which one gemm sums over all P*m positions:
+# a change of that order of summation moves it, and must say so.
 GOLDEN_CONV_GRADIENTS = {
-    (0, 8, 1): "990bfff273aa9125",
-    (0, 8, 5): "67153948d58dde9f",
-    (1, 1, 1): "fef8d0e86635d112",
-    (1, 1, 5): "b5c993b051b61d36",
+    (0, 8, 1): ("60f6ca3fe3af710d", "f40f4a44da835f23"),
+    (0, 8, 5): ("8429ff8f494fb263", "af4e3960a99b14fd"),
+    (1, 1, 1): ("6a5e15cad7ec3192", "91e4f6d12680b056"),
+    (1, 1, 5): ("17fb04be8ddcf898", "d768f21216b99682"),
+    (2, 4, 3): ("823a35bf0f0e3efe", "54db8ee6d3e91b3c"),
 }
 
 
 def test_golden_conv_gradients():
-    got = {key: conv_gradient_digest(*key) for key in GOLDEN_CONV_GRADIENTS}
+    got = {key: conv_gradient_digests(*key) for key in GOLDEN_CONV_GRADIENTS}
     assert got == GOLDEN_CONV_GRADIENTS
+
+
+def oracle_conv_filter_grads(params, hyper, x_rows, denc_rows):
+    """d(sum of denc_rows * conv encodings)/dQl of the rows x_rows, by loops:
+    each layer's dz routed through tanh and the pairwise max, then the outer
+    product of dz and the window vector summed position by position."""
+    h, q = hyper.hidden_dim, hyper.window
+    span = 2 * q + 1
+    grads = {f"Q{l}": np.zeros((h, h * span))
+             for l in range(1, hyper.conv_layers + 1)}
+    for x, denc in zip(x_rows, denc_rows):
+        cur = params["F"][:, x].T.copy()  # (m, H)
+        saved = []
+        for l in range(1, hyper.conv_layers + 1):
+            m = len(cur)
+            win = np.zeros((m, span * h))
+            for i in range(m):
+                for off in range(span):
+                    if 0 <= i + off - q < m:
+                        win[i, off * h:(off + 1) * h] = cur[i + off - q]
+            z = np.array([params[f"Q{l}"] @ win[i] for i in range(m)])
+            src = [[i + 1 if i + 1 < m and z[i + 1, c] > z[i, c] else i
+                    for c in range(h)] for i in range(0, m, 2)]
+            out = np.tanh([[z[s[c], c] for c in range(h)] for s in src])
+            saved.append((win, src, out))
+            cur = out
+        dcur = np.zeros(cur.shape)
+        for c in range(h):
+            dcur[cur[:, c].argmax(), c] = denc[c]
+        for l in range(hyper.conv_layers, 0, -1):
+            win, src, out = saved[l - 1]
+            dz = np.zeros((len(win), h))
+            for k, s in enumerate(src):
+                for c in range(h):
+                    dz[s[c], c] += dcur[k, c] * (1.0 - out[k, c] ** 2)
+            for i in range(len(win)):
+                grads[f"Q{l}"] += np.outer(dz[i], win[i])
+            dcur = np.zeros((len(win), h))
+            for i in range(len(win)):
+                dwin = params[f"Q{l}"].T @ dz[i]
+                for off in range(span):
+                    if 0 <= i + off - q < len(win):
+                        dcur[i + off - q] += dwin[off * h:(off + 1) * h]
+    return grads
+
+
+def test_conv_filter_gradient_matches_oracle():
+    rng = np.random.default_rng(37)
+    cases = itertools.product(range(4), (1, 4), (1, 2, 3), (5, 8), (1, 3))
+    for window, hidden, layers, width, n_rows in cases:
+        hyper = Hyperparams(vocab_size=12, embed_dim=2, hidden_dim=hidden,
+                            context_size=1, encoder="conv",
+                            conv_layers=layers, window=window)
+        params = init_params(hyper, 38)
+        for name in params.names():
+            params[name] = rng.normal(size=params[name].shape)
+        x_rows = rng.integers(0, 12, size=(n_rows, width))
+        denc_rows = rng.normal(size=(n_rows, hidden))
+        _, cache = model._conv_rows(params, hyper, x_rows)
+        params.zero_grads()
+        model._conv_rows_backward(params, hyper, x_rows, cache, denc_rows,
+                                  params.grad)
+        want = oracle_conv_filter_grads(params, hyper, x_rows, denc_rows)
+        for name, w in want.items():
+            err = np.abs(params.grad(name) - w).max()
+            assert err <= 1e-12 * np.abs(w).max(), (
+                window, hidden, layers, width, n_rows, name)
