@@ -120,9 +120,12 @@ def cmd_train(args):
                         context_size=args.context_size,
                         encoder=args.encoder, conv_layers=args.conv_layers,
                         window=args.window)
+    # validated before the output directory is touched, so a rejected run
+    # leaves an earlier run's history and checkpoints as they were
     config = TrainConfig(hyperparams=hyper, max_epochs=args.epochs,
                          learning_rate=args.lr, batch_size=args.batch_size,
-                         seed=args.seed, renorm_max_norm=args.max_norm)
+                         seed=args.seed,
+                         renorm_max_norm=args.max_norm).validate()
     os.makedirs(args.out_dir, exist_ok=True)
     history_path = os.path.join(args.out_dir, "history.jsonl")
     with open(history_path, "w", encoding="utf-8") as history_fh:
@@ -288,7 +291,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    def add_decode_flags(p, with_cap_default=None):
+    def add_decode_flags(p):
         p.add_argument("--model", required=True)
         p.add_argument("--vocab", required=True)
         p.add_argument("--input", required=True,
@@ -297,7 +300,7 @@ def _build_parser():
                        help="summary length in tokens")
         p.add_argument("--beam", type=int, default=8)
         p.add_argument("--mode", choices=MODES, default="abstractive")
-        p.add_argument("--byte-cap", type=int, default=with_cap_default)
+        p.add_argument("--byte-cap", type=int)
 
     p = sub.add_parser("decode", help="generate summaries")
     add_decode_flags(p)

@@ -144,10 +144,10 @@ def has_edit_mark(headline_tokens):
     return False
 
 
-def which_filter(article_tokens, headline_tokens, stopwords=STOPWORDS):
+def which_filter(article_tokens, headline_tokens):
     """None if the pair passes, else the 1-based index of the first failing filter."""
-    art = {t for t in article_tokens if _is_word(t) and t not in stopwords}
-    head = {t for t in headline_tokens if _is_word(t) and t not in stopwords}
+    art = {t for t in article_tokens if _is_word(t) and t not in STOPWORDS}
+    head = {t for t in headline_tokens if _is_word(t) and t not in STOPWORDS}
     if not (art & head):
         return 1
     if has_edit_mark(headline_tokens):

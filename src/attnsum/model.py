@@ -6,8 +6,9 @@ The distribution is computed in one place, in two stages:
   precompute(params, hyper, x_rows) -- the context-free encoder state of P
     input rows: bow/conv encodings and their share of the logits, or the
     attention encoder's input embeddings and their windowed means;
-  encode(params, hyper, pre, ctx, pair_of) -- the logits of T steps, each
-    with its own context and input row, and the cache for the backward pass.
+  encode(params, hyper, pre, ctx, lengths) -- the logits of T steps, each
+    with its own context, lengths[p] of them reading input row p, and the
+    cache for the backward pass.
 forward (training, loss, cond_dist) runs both per batch. Scorer (decoding,
 attention_trace, enc_attention) runs precompute once per input sentence and
 encode per decode step.
@@ -15,17 +16,17 @@ encode per decode step.
 Batches come from step tables. step_table(pairs, hyper) builds a corpus's
 StepTable once: every step's (C,) context and target, pair after pair, and
 the input sentences, with one id check over the whole corpus. A StepBatch
-(one input length; x, pair_of, ctx, target) is a gather of index ranges from
+(one input length; x, lengths, ctx, target) is a gather of index ranges from
 it, StepTable.batch. make_batch(pairs, hyper) is the one-off form: a table
 of just those pairs, gathered whole.
 
-Steps are grouped in runs that share an input row. When every row has one
-run of the same length, as in a batch of equal-length outputs, encode and
-its backward pass run each product once, stacked over rows: the attention
-products, and the bow/conv rows' share of the logits and its gradient;
-otherwise (ragged runs, or the one run of a decode step) they run 2-D
-products one run at a time. The stacked products agree with the per-run
-ones bit for bit.
+Steps come row after row: lengths (P,) holds each input row's step count.
+When there are several rows with the same count, as in a batch of
+equal-length outputs, encode and its backward pass run each product once,
+stacked over rows: the attention products, and the bow/conv rows' share of
+the logits and its gradient; otherwise (ragged rows, or the one row of a
+decode step) they run 2-D products one row at a time. The stacked products
+agree with the per-row ones bit for bit.
 
 Shape conventions used throughout:
   V vocab size, D embedding size, H hidden size, C context length,
@@ -135,14 +136,26 @@ def _check_ids(ids, vocab_size, what="token ids"):
     return arr
 
 
-def context_windows(y, context_size, start_id=START_ID):
+def _input_ids(x, vocab_size):
+    """x as a nonempty 1-D int64 array of ids in [0, vocab_size); raises
+    ValueError otherwise."""
+    arr = np.asarray(x, dtype=np.int64)
+    if (arr.ndim != 1 or arr.size == 0 or arr.min() < 0
+            or arr.max() >= vocab_size):
+        raise ValueError("input must be a nonempty id sequence, no id out "
+                         f"of range [0, {vocab_size})")
+    return arr
+
+
+def context_windows(y, context_size):
     """(len(y), C) context rows for predicting each token of y in turn.
 
     Row i holds the C tokens preceding y[i], left-padded with the start
     symbol: row 0 is all start ids.
     """
     y = np.asarray(y, dtype=np.int64)
-    padded = np.concatenate([np.full(context_size, start_id, dtype=np.int64), y])
+    padded = np.concatenate([np.full(context_size, START_ID, dtype=np.int64),
+                             y])
     idx = np.arange(len(y))[:, None] + np.arange(context_size)[None, :]
     return padded[idx]
 
@@ -151,11 +164,12 @@ def context_windows(y, context_size, start_id=START_ID):
 class StepBatch:
     """All prediction steps of a group of pairs sharing one input length M.
 
-    x (P,M) input sentences; pair_of (T,) maps each step to its row of x;
-    ctx (T,C) contexts; target (T,) gold next tokens.
+    x (P,M) input sentences; lengths (P,) the number of steps of each row;
+    ctx (T,C) contexts and target (T,) gold next tokens, row after row:
+    row p's lengths[p] steps follow row p-1's.
     """
     x: np.ndarray
-    pair_of: np.ndarray
+    lengths: np.ndarray
     ctx: np.ndarray
     target: np.ndarray
 
@@ -186,8 +200,8 @@ class StepTable:
         first = np.cumsum(lens) - lens  # each pair's first row in the batch
         steps = (np.repeat(self.offset[idx] - first, lens)
                  + np.arange(first[-1] + lens[-1]))
-        return StepBatch(x=x, pair_of=np.repeat(np.arange(len(idx)), lens),
-                         ctx=self.ctx[steps], target=self.target[steps])
+        return StepBatch(x=x, lengths=lens, ctx=self.ctx[steps],
+                         target=self.target[steps])
 
 
 def _lengths(seqs):
@@ -288,14 +302,13 @@ def _pool_pairs(z):
     return np.where(amax, odd, even), amax
 
 
-def _conv_rows(params, hyper, x_rows, activation=np.tanh):
+def _conv_rows(params, hyper, x_rows):
     """TDNN encodings for x_rows (P, M): (enc (P,H), cache for backward).
 
     Each layer: width-preserving 1-D convolution over zero-padded windows of
     half-width Q, pairwise max pool over time (odd tail kept as a singleton),
-    then the activation. Finally max over remaining positions per channel.
-    Layers run time-major, (P, m, H). The activation hook exists for
-    algebraic reduction tests; the backward pass assumes tanh.
+    then tanh. Finally max over remaining positions per channel. Layers run
+    time-major, (P, m, H).
     """
     q, h = hyper.window, hyper.hidden_dim
     cur = params["F"][:, x_rows].transpose(1, 2, 0)  # (P, M, H)
@@ -312,7 +325,7 @@ def _conv_rows(params, hyper, x_rows, activation=np.tanh):
         pooled, amax = _pool_pairs(z)
         if m % 2:
             pooled = np.concatenate([pooled, z[:, -1:]], axis=1)
-        out = activation(pooled)
+        out = np.tanh(pooled)
         layers.append({"winflat": winflat, "amax": amax, "width": m, "out": out})
         cur = out
     tmax = cur.argmax(axis=1)  # (P, H)
@@ -360,39 +373,27 @@ def _context_embed(table, ctx):
     return table[:, ctx].transpose(1, 2, 0).reshape(t, c * table.shape[0])
 
 
-def _runs(pair_of):
-    """[row, lo, hi] for each maximal run of equal entries of pair_of.
+def _run_blocks(lengths, *steps):
+    """The steps in blocks, each one set of products: returns (blocks,
+    views), where each block (rows, cut) reads input rows `rows` and the
+    steps view[cut] of each of the (T, .) arrays `steps`.
 
-    A plain loop: a decode step has a single short run, where numpy's
-    per-call overhead would cost more than the loop.
+    lengths is the list of each input row's step count, the steps coming
+    row after row. When there is more than one row and all have the same
+    count n (a batch of equal-length outputs), there is one block of all
+    rows and the views are the steps stacked (P, n, .): reshapes, so writes
+    into them land in the C-contiguous arrays given. Otherwise each row is
+    a block, a row index and a slice of steps, with 2-D products, as in a
+    decode step. The stacked products give the per-row products' bits.
+    Plain Python: a decode step has one row, where numpy's per-call
+    overhead would cost more than the work.
     """
-    runs = []
-    for t, p in enumerate(pair_of.tolist()):
-        if runs and runs[-1][0] == p:
-            runs[-1][2] = t + 1
-        else:
-            runs.append([p, t, t + 1])
-    return runs
-
-
-def _run_blocks(runs, n_rows, *steps):
-    """The steps in blocks, each run as one set of products:
-    returns (blocks, views), where each block (rows, cut) reads input rows
-    `rows` and the steps view[cut] of each of the (T, .) arrays `steps`.
-
-    When the runs are one per input row, in row order, all n steps long (a
-    batch of equal-length outputs), there is one block of all rows and the
-    views are the steps stacked (P, n, .): reshapes, so writes into them
-    land in the C-contiguous arrays given. Otherwise each run is a block, a
-    row index and a slice of steps, with 2-D products, as in a decode step.
-    The stacked products give the per-run products' bits.
-    """
-    n = runs[0][2] - runs[0][1]
-    if 1 < len(runs) == n_rows and all(p == i and hi - lo == n
-                                       for i, (p, lo, hi) in enumerate(runs)):
+    if len(lengths) > 1 and lengths.count(lengths[0]) == len(lengths):
         return ([(slice(None), slice(None))],
-                [a.reshape(n_rows, n, -1) for a in steps])
-    return [(p, slice(lo, hi)) for p, lo, hi in runs], steps
+                [a.reshape(len(lengths), lengths[0], -1) for a in steps])
+    ends = itertools.accumulate(lengths)
+    return [(p, slice(hi - n, hi))
+            for p, (n, hi) in enumerate(zip(lengths, ends))], steps
 
 
 def precompute(params, hyper, x_rows):
@@ -417,9 +418,10 @@ def precompute(params, hyper, x_rows):
     return pre
 
 
-def encode(params, hyper, pre, ctx, pair_of):
-    """Logits (T,V) of the steps with contexts ctx (T,C), where step t reads
-    input row pair_of[t] of `pre`; returns (logits, cache for backward).
+def encode(params, hyper, pre, ctx, lengths):
+    """Logits (T,V) of the steps with contexts ctx (T,C), where the list
+    lengths (P,) counts the steps of each input row of `pre`, row after row;
+    returns (logits, cache for backward).
 
     For the attention encoder the cache holds each step's attention row
     `attn` (T,M) and encoding `encvec` (T,H).
@@ -428,15 +430,15 @@ def encode(params, hyper, pre, ctx, pair_of):
     h = np.tanh(ytilde @ params["U"].T + params["b_U"])
     logits = h @ params["V"].T
     logits += params["b_V"]
-    runs = _runs(pair_of)
-    cache = {"pre": pre, "ctx": ctx, "runs": runs, "ytilde": ytilde, "h": h}
+    cache = {"pre": pre, "ctx": ctx, "lengths": lengths, "ytilde": ytilde,
+             "h": h}
     if hyper.encoder == "attention":
         ctx_g = _context_embed(params["G"], ctx)
         query = ctx_g @ params["P"].T  # (T, H)
         xe, xbar = pre["xe"], pre["xbar"]
         attn = np.empty((len(ctx), xe.shape[1]))
         encvec = np.empty_like(query)
-        blocks, (q, a, e) = _run_blocks(runs, len(xe), query, attn, encvec)
+        blocks, (q, a, e) = _run_blocks(lengths, query, attn, encvec)
         for rows, cut in blocks:
             a[cut] = softmax_rows(q[cut] @ xe[rows].swapaxes(-1, -2))
             e[cut] = a[cut] @ xbar[rows]
@@ -444,7 +446,7 @@ def encode(params, hyper, pre, ctx, pair_of):
         logits += params["b_W"]
         cache.update(ctx_g=ctx_g, query=query, attn=attn, encvec=encvec)
     elif hyper.encoder != "none":
-        blocks, (lg,) = _run_blocks(runs, len(pre["x"]), logits)
+        blocks, (lg,) = _run_blocks(lengths, logits)
         for rows, cut in blocks:
             lg[cut] += pre["enc_logit"][rows, None]
     return logits, cache
@@ -453,16 +455,19 @@ def encode(params, hyper, pre, ctx, pair_of):
 def forward(params, hyper, batch):
     """Full forward pass; returns a cache holding the per-step log-probs."""
     logits, cache = encode(params, hyper, precompute(params, hyper, batch.x),
-                           batch.ctx, batch.pair_of)
+                           batch.ctx, batch.lengths.tolist())
     cache["logp"] = log_softmax_rows(logits)
     return cache
 
 
 def _step_slice(batch, lo, hi):
     """The StepBatch of steps lo:hi of batch, holding only the input rows
-    those steps read."""
-    rows, pair_of = np.unique(batch.pair_of[lo:hi], return_inverse=True)
-    return StepBatch(x=batch.x[rows], pair_of=pair_of.reshape(-1),
+    those steps read: each row's steps clipped to lo:hi, and the rows with
+    steps left."""
+    ends = np.cumsum(batch.lengths)
+    lengths = np.minimum(ends, hi) - np.maximum(ends - batch.lengths, lo)
+    keep = lengths > 0
+    return StepBatch(x=batch.x[keep], lengths=lengths[keep],
                      ctx=batch.ctx[lo:hi], target=batch.target[lo:hi])
 
 
@@ -471,14 +476,13 @@ def loss(params, hyper, batch):
 
     The steps run in chunks of at most LOGIT_BUDGET logits, which bounds
     the (T,V) arrays a forward pass holds; the chunks' target log-probs are
-    collected and summed once. A batch within the budget is one chunk, the
-    batch itself.
+    collected and summed once. A batch within the budget is one chunk.
     """
     t = len(batch.target)
     rows = max(1, LOGIT_BUDGET // hyper.vocab_size)
     picks = []
     for lo in range(0, t, rows):
-        part = batch if rows >= t else _step_slice(batch, lo, lo + rows)
+        part = _step_slice(batch, lo, lo + rows)
         logp = forward(params, hyper, part)["logp"]
         picks.append(logp[np.arange(len(part.target)), part.target])
         del logp  # freed before the next chunk's forward pass
@@ -524,7 +528,7 @@ def _rows_backward(params, hyper, cache, dlogits):
     grad = params.grad
     pre = cache["pre"]
     denc_logit = np.zeros_like(pre["enc_logit"])
-    blocks, (dl,) = _run_blocks(cache["runs"], len(denc_logit), dlogits)
+    blocks, (dl,) = _run_blocks(cache["lengths"], dlogits)
     for rows, cut in blocks:
         denc_logit[rows] += dl[cut].sum(axis=-2)
     grad("W")[...] += denc_logit.T @ pre["rows"]
@@ -538,14 +542,14 @@ def _rows_backward(params, hyper, cache, dlogits):
 
 def _attention_backward(params, hyper, cache, denc):
     """Route d(loss)/d(encvec) = denc (T,H) into P, G and F, one block of
-    runs at a time (see _run_blocks)."""
+    rows at a time (see _run_blocks)."""
     grad = params.grad
     pre, attn, query = cache["pre"], cache["attn"], cache["query"]
     xe, xbar = pre["xe"], pre["xbar"]
     dquery = np.empty_like(query)
     dxe, dxbar = np.zeros(xe.shape), np.zeros(xbar.shape)
     blocks, (a_all, d_all, q_all, dq_all) = _run_blocks(
-        cache["runs"], len(xe), attn, denc, query, dquery)
+        cache["lengths"], attn, denc, query, dquery)
     for rows, cut in blocks:
         a, d, q = a_all[cut], d_all[cut], q_all[cut]
         da = d @ xbar[rows].swapaxes(-1, -2)
@@ -566,31 +570,25 @@ def _attention_backward(params, hyper, cache, denc):
 
 def cond_dist(params, hyper, x, y_c):
     """p(next token | input x, context y_c): a proper distribution over V."""
-    x = _check_ids(x, hyper.vocab_size, "input ids")
+    x = _input_ids(x, hyper.vocab_size)
     y_c = _check_ids(y_c, hyper.vocab_size, "context ids")
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("input must be a nonempty id sequence")
     if y_c.shape != (hyper.context_size,):
         raise ValueError(f"context must hold exactly {hyper.context_size} ids")
-    batch = StepBatch(x=x[None, :], pair_of=np.zeros(1, dtype=np.int64),
+    batch = StepBatch(x=x[None, :], lengths=np.ones(1, dtype=np.int64),
                       ctx=y_c[None, :], target=np.zeros(1, dtype=np.int64))
     return np.exp(forward(params, hyper, batch)["logp"][0])
 
 
 def enc_bow(params, x):
     """Order-independent input encoding: the mean of the columns F[:, x_i]."""
-    x = _check_ids(x, params["F"].shape[1], "input ids")
-    if x.size == 0:
-        raise ValueError("empty input")
+    x = _input_ids(x, params["F"].shape[1])
     return _bow_rows(params, x[None, :])[0]
 
 
-def enc_conv(params, hyper, x, activation=np.tanh):
+def enc_conv(params, hyper, x):
     """TDNN input encoding; see _conv_rows for the layer recipe."""
-    x = _check_ids(x, hyper.vocab_size, "input ids")
-    if x.size == 0:
-        raise ValueError("empty input")
-    return _conv_rows(params, hyper, x[None, :], activation)[0][0]
+    x = _input_ids(x, hyper.vocab_size)
+    return _conv_rows(params, hyper, x[None, :])[0][0]
 
 
 def enc_attention(params, hyper, x, y_c):
@@ -611,9 +609,7 @@ class Scorer:
         hyper.validate()
         self.params = params
         self.hyper = hyper
-        self.x = _check_ids(x, hyper.vocab_size, "input ids")
-        if self.x.ndim != 1 or self.x.size == 0:
-            raise ValueError("input must be a nonempty id sequence")
+        self.x = _input_ids(x, hyper.vocab_size)
         self._pre = precompute(params, hyper, self.x[None, :])
 
     @property
@@ -630,7 +626,7 @@ class Scorer:
         if contexts.ndim != 2 or contexts.shape[1] != self.hyper.context_size:
             raise ValueError("contexts must have shape (K, C)")
         return encode(self.params, self.hyper, self._pre, contexts,
-                      np.zeros(len(contexts), dtype=np.int64))
+                      [len(contexts)])
 
     def step_scores(self, contexts):
         """Log p(next | context, x) for contexts (K, C): shape (K, V)."""

@@ -10,18 +10,12 @@ code path with the vectorized analytic backward passes it is used to check.
 import numpy as np
 
 
-def as_tensor(data, shape=None):
-    """Coerce to a C-order float64 array, optionally reshaped, and verify finiteness."""
+def as_tensor(data):
+    """Coerce to a C-order float64 array; raises ValueError unless every
+    value is finite."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    require_finite(arr, "tensor")
-    return arr
-
-
-def require_finite(arr, what="array"):
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite values in {what}")
+        raise ValueError("non-finite values in tensor")
     return arr
 
 
@@ -88,13 +82,6 @@ class ParamStore:
     def zero_grads(self):
         for g in self._grads.values():
             g[...] = 0.0
-
-    def copy(self):
-        out = ParamStore()
-        for name, value in self._params.items():
-            out.register(name, value.copy())
-            out._grads[name] = self._grads[name].copy()
-        return out
 
 
 def finite_diff_grad(loss_fn, params, eps=1e-5):

@@ -40,12 +40,13 @@ class TrainConfig:
         self.hyperparams.validate()
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
-        # 0 is allowed so a no-op run can still produce a history
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        # 0 is allowed so a no-op run can still produce a history; the
+        # comparisons are written so that NaN fails them
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.renorm_max_norm <= 0:
+        if not self.renorm_max_norm > 0:
             raise ValueError("renorm_max_norm must be positive")
         if self.patience < 1:
             raise ValueError("patience must be positive")
@@ -101,7 +102,7 @@ def perplexity(params, hyper, pairs):
 
 def renormalize_embeddings(params, max_norm):
     """Scale any embedding column with L2 norm > max_norm down to exactly max_norm."""
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ValueError("max_norm must be positive")
     for name in EMBEDDING_NAMES:
         if name not in params:

@@ -43,6 +43,8 @@ from .rouge import EvalInstance, instance_score
 
 FEATURE_NAMES = ("log_prob", "unigram", "bigram", "trigram", "reorder")
 N_FEATURES = len(FEATURE_NAMES)
+# seeded random directions line-searched in each MERT round, after the axes
+RANDOM_DIRECTIONS = 8
 
 
 @dataclass
@@ -345,21 +347,20 @@ def _line_search(lists, alpha, direction):
     return best_gamma, best_obj
 
 
-def mert_tune(params, hyper, vocab, dev, config, metric="rouge1",
-              init=None, seed=0, random_directions=8, max_rounds=4):
+def mert_tune(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
+              max_rounds=4):
     """Minimum-error-rate tuning of the feature weights against the dev
     corpus metric. Each round line-searches the 5 coordinate axes plus
     seeded random directions over the current weights' K-best lists; a
     move is kept only if decoding the dev set under the trial weights
     strictly improves the true metric, and then that same decode gives the
     lists for the next direction. Each distinct weight vector is decoded
-    once. Returns weights whose dev metric is never below the
-    initialization's."""
+    once. The search starts from the identity weights, and the weights
+    returned never have a lower dev metric than those."""
     dev = list(dev)
     if not dev:
         raise ValueError("dev set is empty")
-    weights = FeatureWeights(np.array(init.alpha if init is not None
-                                      else FeatureWeights().alpha))
+    weights = FeatureWeights.identity()
     decoded = _decode_dev(params, hyper, dev, weights, config)
     current = _dev_metric(decoded, vocab, config, metric)
     lists = _kbest_lists(params, hyper, vocab, decoded, config, metric)
@@ -368,7 +369,7 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1",
     for _ in range(max_rounds):
         improved = False
         directions = axes + [rng.standard_normal(N_FEATURES)
-                             for _ in range(random_directions)]
+                             for _ in range(RANDOM_DIRECTIONS)]
         for direction in directions:
             gamma, _ = _line_search(lists, weights.alpha, direction)
             if gamma == 0.0:

@@ -244,6 +244,33 @@ def test_divergent_training_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--max-norm", "nan"),
+                                        ("--max-norm", "0"),
+                                        ("--lr", "nan"), ("--lr", "inf")])
+def test_non_finite_training_settings_are_a_data_error(tmp_path, capsys,
+                                                       flag, value):
+    raw = tmp_path / "raw.tsv"
+    tok = tmp_path / "tok.tsv"
+    voc = tmp_path / "vocab.tsv"
+    write_raw_pairs(raw)
+    assert main(["preprocess", "--pairs", str(raw), "--out-pairs", str(tok),
+                 "--out-vocab", str(voc), "--min-count", "1"]) == 0
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "history.jsonl").write_text("earlier run\n", encoding="utf-8")
+    assert main(["train", "--pairs", str(tok), "--vocab", str(voc),
+                 "--out-dir", str(run), "--encoder", "bow",
+                 "--embed-dim", "4", "--hidden-dim", "5",
+                 "--context-size", "2", "--epochs", "2",
+                 "--batch-size", "4", flag, value]) == 2
+    assert "error" in capsys.readouterr().err
+    # rejected before the output directory is touched: an earlier run's
+    # history stays, and no checkpoint is written
+    assert (run / "history.jsonl").read_text(encoding="utf-8") == \
+        "earlier run\n"
+    assert not list(run.glob("*.model"))
+
+
 def test_trace_rows_match_attention_replay(tmp_path, capsys):
     mpath, vpath, params, hyper, vocab = save_toy_model(tmp_path)
     inp = tmp_path / "input.txt"

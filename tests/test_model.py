@@ -187,15 +187,16 @@ def test_enc_conv_matches_straight_line_oracle():
 
 
 def test_enc_conv_identity_filter_reduces_to_max():
-    # L=1, Q=0, identity filter, activation disabled: max over embeddings
+    # L=1, Q=0, identity filter: tanh of the max over embeddings, as tanh
+    # is increasing
     hyper = Hyperparams(vocab_size=10, embed_dim=4, hidden_dim=5,
                         context_size=2, encoder="conv", conv_layers=1,
                         window=0)
     params = init_params(hyper, 1)
     params["Q1"] = np.eye(5)
     x = [1, 4, 7, 2, 9]
-    got = enc_conv(params, hyper, x, activation=lambda v: v)
-    assert np.allclose(got, params["F"][:, x].max(axis=1))
+    got = enc_conv(params, hyper, x)
+    assert np.allclose(got, np.tanh(params["F"][:, x].max(axis=1)))
 
 
 def test_enc_conv_constant_input_width_invariance():
@@ -331,6 +332,24 @@ def test_cond_dist_rejects_out_of_range():
         cond_dist(params, hyper, [1, 20], [1, 1])
     with pytest.raises(ValueError, match="out of range"):
         cond_dist(params, hyper, [1, 2], [1, -1])
+
+
+INPUT_ENTRY_POINTS = {
+    "cond_dist": lambda params, hyper, x: cond_dist(params, hyper, x, [1, 1]),
+    "enc_bow": lambda params, hyper, x: enc_bow(params, x),
+    "enc_conv": enc_conv,
+    "Scorer": Scorer,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INPUT_ENTRY_POINTS))
+@pytest.mark.parametrize("x", [[[1, 2, 3], [4, 5, 6]], [], [1, 20], [-1, 2]],
+                         ids=["2-D", "empty", "too large", "negative"])
+def test_entry_points_reject_bad_input(entry, x):
+    hyper = tiny_hyper("conv")
+    params = init_params(hyper, 0)
+    with pytest.raises(ValueError, match="nonempty id sequence"):
+        INPUT_ENTRY_POINTS[entry](params, hyper, x)
 
 
 # --- loss and gradients ------------------------------------------------------
@@ -561,8 +580,7 @@ def test_scatter_columns_matches_add_at_bit_for_bit():
 def reference_batch(pairs, context_size):
     return StepBatch(
         x=np.array([x for x, _ in pairs], dtype=np.int64),
-        pair_of=np.concatenate([np.full(len(y), p, dtype=np.int64)
-                                for p, (_, y) in enumerate(pairs)]),
+        lengths=np.array([len(y) for _, y in pairs], dtype=np.int64),
         ctx=np.concatenate([context_windows(y, context_size)
                             for _, y in pairs]),
         target=np.concatenate([np.asarray(y, dtype=np.int64)
@@ -570,7 +588,7 @@ def reference_batch(pairs, context_size):
 
 
 def assert_same_batch(got, want):
-    for field in ("x", "pair_of", "ctx", "target"):
+    for field in ("x", "lengths", "ctx", "target"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
 
@@ -593,12 +611,20 @@ def test_step_table_batches_match_per_pair_context_windows():
                               reference_batch(chosen, c))
 
 
+def row_runs(lengths):
+    """(row, lo, hi) of each row's run of steps, the runs row after row."""
+    hi = 0
+    for p, n in enumerate(lengths):
+        hi += n
+        yield p, hi - n, hi
+
+
 def per_run_attention(cache):
     """attn, encvec of a forward cache, one run of steps at a time."""
     pre, query = cache["pre"], cache["query"]
     attn = np.empty((len(query), pre["xe"].shape[1]))
     encvec = np.empty_like(query)
-    for p, lo, hi in cache["runs"]:
+    for p, lo, hi in row_runs(cache["lengths"]):
         attn[lo:hi] = model.softmax_rows(query[lo:hi] @ pre["xe"][p].T)
         encvec[lo:hi] = attn[lo:hi] @ pre["xbar"][p]
     return attn, encvec
@@ -611,7 +637,7 @@ def per_run_attention_grads(params, hyper, cache, denc):
     xe, xbar = pre["xe"], pre["xbar"]
     dquery = np.empty_like(query)
     dxe, dxbar = np.zeros(xe.shape), np.zeros(xbar.shape)
-    for p, lo, hi in cache["runs"]:
+    for p, lo, hi in row_runs(cache["lengths"]):
         a, d = attn[lo:hi], denc[lo:hi]
         da = d @ xbar[p].T
         dscores = a * (da - (a * da).sum(axis=1, keepdims=True))
@@ -632,7 +658,7 @@ def per_run_row_logits(params, cache):
     """bow/conv logits of a forward cache: each run of steps adds its row's
     enc_logit, one run at a time."""
     logits = cache["h"] @ params["V"].T + params["b_V"]
-    for p, lo, hi in cache["runs"]:
+    for p, lo, hi in row_runs(cache["lengths"]):
         logits[lo:hi] += cache["pre"]["enc_logit"][p]
     return logits
 
@@ -642,7 +668,7 @@ def per_run_row_grads(params, hyper, cache, dlogits):
     into its row one run at a time; bow's F scattered with np.add.at."""
     pre = cache["pre"]
     denc_logit = np.zeros(pre["enc_logit"].shape)
-    for p, lo, hi in cache["runs"]:
+    for p, lo, hi in row_runs(cache["lengths"]):
         denc_logit[p] += dlogits[lo:hi].sum(axis=0)
     drows = denc_logit @ params["W"]
     grads = {name: np.zeros(params[name].shape) for name in params.names()}
@@ -691,7 +717,7 @@ def test_stacked_attention_matches_per_run_loop(head_lengths):
             params[name] = rng.normal(size=params[name].shape)
         logits, cache = model.encode(
             params, hyper, model.precompute(params, hyper, batch.x),
-            batch.ctx, batch.pair_of)
+            batch.ctx, batch.lengths.tolist())
         assert same_bits(logits, per_run_row_logits(params, cache)), encoder
         dlogits = rng.normal(size=logits.shape)
         params.zero_grads()

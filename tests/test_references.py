@@ -1,9 +1,13 @@
 """Every top-level function and class of the package has a caller outside
-the tests, or a stated reason to stay without one.
+the tests, and every parameter with a default is set by some caller, or
+each has a stated reason to stay without one.
 
 A name counts as called when some module of `src/attnsum/` or of
 `perfbench/` (its own test module aside) mentions it as a name, an
 attribute, or a string constant equal to it, as in getattr(module, "name").
+A parameter counts as set when some call in those modules, to a name or
+attribute spelled as its function (its class, for __init__), names it or
+passes enough positional arguments to reach it, self and cls not counted.
 """
 
 import ast
@@ -26,6 +30,16 @@ UNCALLED = {
     "enc_attention": "public model API: the attention encoder",
 }
 
+# parameters with a default that no caller sets, each with the reason it
+# stays
+UNSET = {
+    "cli.main.argv": "the tests' seam: they call main with an argument list",
+    "decoding.beam_search.step_hook": "perfbench passes it through the "
+                                      "alias `search`",
+    "numerics.finite_diff_grad.eps": "oracle: the central-difference step",
+    "numerics.relative_grad_error.floor": "oracle: the error measure's floor",
+}
+
 
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -40,12 +54,15 @@ def top_level_names():
                 yield f"{path.stem}.{node.name}", node.name
 
 
-def referenced_names():
-    paths = sorted(PACKAGE.glob("*.py")) + [
+def caller_paths():
+    return sorted(PACKAGE.glob("*.py")) + [
         path for path in sorted((ROOT / "perfbench").glob("*.py"))
         if path.name != "test_perfbench.py"]
+
+
+def referenced_names():
     names = set()
-    for path in paths:
+    for path in caller_paths():
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -68,3 +85,82 @@ def test_uncalled_names_are_defined_and_still_uncalled():
     defined = {name for _, name in top_level_names()}
     assert set(UNCALLED) <= defined
     assert not set(UNCALLED) & referenced_names()
+
+
+def defaulted_params():
+    """(module[.class].function.param, callee name, positional index or
+    None) of every parameter with a default, in functions and methods at
+    any depth; the index leaves out self and cls, and is None for
+    keyword-only parameters."""
+    def visit(node, module, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, module, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from params_of(child, module, cls)
+                yield from visit(child, module, None)
+            else:
+                yield from visit(child, module, cls)
+
+    def params_of(fn, module, cls):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list):
+            positional = positional[1:]
+        callee = cls if fn.name == "__init__" else fn.name
+        where = ".".join(filter(None, (module, cls, fn.name)))
+        for i, arg in enumerate(positional):
+            if i >= len(positional) - len(args.defaults):
+                yield f"{where}.{arg.arg}", callee, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{where}.{arg.arg}", callee, None
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield from visit(parse(path), path.stem, None)
+
+
+def calls():
+    """callee name -> list of (positional count, keyword names) of every
+    call in the caller modules; a *args reaches every position and a
+    **kwargs names every parameter, so each counts as infinite or None."""
+    found = {}
+    for path in caller_paths():
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            found.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args),
+                 None if None in keywords else keywords))
+    return found
+
+
+def unset_params():
+    by_callee = calls()
+    unset = []
+    for qualified, callee, index in defaulted_params():
+        param = qualified.rsplit(".", 1)[1]
+        if not any(keywords is None or param in keywords
+                   or (index is not None and n_pos > index)
+                   for n_pos, keywords in by_callee.get(callee, ())):
+            unset.append(qualified)
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    assert [q for q in unset_params() if q not in UNSET] == []
+
+
+def test_unset_parameters_are_defined_and_still_unset():
+    defined = {qualified for qualified, _, _ in defaulted_params()}
+    assert set(UNSET) <= defined
+    assert set(UNSET) <= set(unset_params())

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from attnsum.model import Hyperparams, cond_dist, context_windows, init_params
+from attnsum.model import (Hyperparams, cond_dist, context_windows,
+                           init_params, load_model, save_model)
 from attnsum.training import (
     EpochRecord,
     TrainConfig,
@@ -140,21 +141,27 @@ def test_train_bit_reproducible():
     assert h1 == h2
 
 
-def test_history_valid_nll_matches_checkpoints():
+def test_history_valid_nll_matches_checkpoints(tmp_path):
+    # each epoch is snapshot as `attnsum train` checkpoints it: a model file
     hyper = small_hyper("bow")
     config = TrainConfig(hyperparams=hyper, max_epochs=3, seed=3)
     rng = np.random.default_rng(3)
     pairs = random_corpus(rng, hyper, 10)
     valid = pairs[:3]
-    checkpoints = []
-    params, history = train(config, pairs, valid,
-                            epoch_callback=lambda e, p, r: checkpoints.append(
-                                p.copy()))
-    for record, snap in zip(history, checkpoints):
+    paths = []
+
+    def checkpoint(epoch, params, record):
+        paths.append(tmp_path / f"epoch-{epoch:03d}.model")
+        save_model(paths[-1], params, hyper)
+
+    params, history = train(config, pairs, valid, epoch_callback=checkpoint)
+    snaps = [load_model(path)[0] for path in paths]
+    assert len(snaps) == len(history)
+    for record, snap in zip(history, snaps):
         assert math.isclose(record.valid_nll, nll(snap, hyper, valid),
                             rel_tol=1e-12)
     for name in params.names():
-        assert np.array_equal(params[name], checkpoints[-1][name])
+        assert np.array_equal(params[name], snaps[-1][name])
 
 
 def test_learning_rate_halves_exactly_on_plateau():
@@ -211,6 +218,16 @@ def test_config_validation():
                     learning_rate=-1).validate()
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(hyperparams=hyper, max_epochs=1, batch_size=0).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(hyperparams=hyper, max_epochs=1,
+                        learning_rate=bad).validate()
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="renorm_max_norm"):
+            TrainConfig(hyperparams=hyper, max_epochs=1,
+                        renorm_max_norm=bad).validate()
+        with pytest.raises(ValueError, match="max_norm"):
+            renormalize_embeddings(init_params(hyper, 0), bad)
 
 
 def test_token_count():
