@@ -14,8 +14,9 @@ import struct
 import sys
 
 from . import CORPUS_FORMAT_VERSION, MODEL_FORMAT_VERSION, __version__
-from .corpus import (Vocab, detokenize, preprocess, preprocess_pairs,
-                     read_pairs, truncate_bytes, write_pairs, encode_pairs)
+from .corpus import (Vocab, atomic_open, detokenize, encode_pairs,
+                     preprocess, preprocess_pairs, read_pairs,
+                     require_aligned, truncate_bytes, write_pairs)
 from .decoding import MODES, DecodeConfig, beam_search, finalize
 from .model import (ENCODERS, Hyperparams, Scorer, attention_trace,
                     load_model, read_model_header, save_model)
@@ -43,7 +44,7 @@ def _write_lines(path, lines):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(text)
 
 
@@ -79,7 +80,7 @@ def _decode_corpus(params, hyper, vocab, lines, config, weights=None):
 def _write_trace(path, params, hyper, results):
     """One block per sentence: a '# sentence i' marker, then one tab-joined
     row of attention weights per generated token (columns = input words)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for i, (x, hyp) in enumerate(results, 1):
             rows = attention_trace(params, hyper, x, list(hyp.tokens))
             fh.write(f"# sentence {i}\n")
@@ -144,8 +145,7 @@ def cmd_train(args):
                                 epoch_callback=checkpoint)
     final = os.path.join(args.out_dir, "final.model")
     save_model(final, params, hyper)
-    with open(os.path.join(args.out_dir, "config.txt"), "w",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out_dir, "config.txt")) as fh:
         settings = dict(vars(args))
         settings.pop("func")
         settings["vocab_size"] = len(vocab)
@@ -185,11 +185,7 @@ def cmd_tune(args):
     config = _decode_config(args)
     dev_lines = _read_lines(args.dev)
     ref_lines = _read_lines(args.refs)
-    if len(dev_lines) != len(ref_lines):
-        raise ValueError(
-            f"{args.refs}: {len(ref_lines)} lines, expected "
-            f"{len(dev_lines)} "
-            f"(line {min(len(dev_lines), len(ref_lines)) + 1})")
+    require_aligned(args.refs, ref_lines, len(dev_lines))
     dev = []
     for i, (line, ref) in enumerate(zip(dev_lines, ref_lines), 1):
         tokens = preprocess(line)
@@ -221,17 +217,15 @@ def cmd_eval(args):
 
 
 def _prefix_line(line, byte_cap):
-    """Longest whole-token prefix that fits the cap; a single over-long
-    token falls back to a plain byte cut so the cap always holds."""
-    tokens = preprocess(line)
-    kept = []
-    for token in tokens:
-        if len(detokenize(kept + [token]).encode("utf-8")) > byte_cap:
-            break
-        kept.append(token)
-    if kept or not tokens:
-        return detokenize(kept)
-    return truncate_bytes(tokens[0], byte_cap)
+    """Longest whole-token prefix that fits the cap; a first token longer
+    than the cap is cut to its longest whole-character prefix instead, so
+    the cap always holds."""
+    text = detokenize(preprocess(line))
+    cut = truncate_bytes(text, byte_cap)
+    rest = text[len(cut):]
+    if not rest or rest.startswith(" "):
+        return cut
+    return cut.rpartition(" ")[0] or cut
 
 
 def cmd_baseline(args):

@@ -10,6 +10,9 @@ Tokenizer rules (fixed, golden-file tested; exact PTB parity is a non-goal):
      apostrophes, and abbreviation dots inside words survive ("u.s.-led",
      "don't", "--")
 
+A byte cap keeps the longest whole-character prefix of a text whose UTF-8
+form fits within the cap; a cap below 1 is refused.
+
 Pair files are UTF-8, one pair per line, "headline<TAB>article". Vocabulary
 files are one "token<TAB>count" per line with the reserved symbols first.
 
@@ -24,7 +27,7 @@ A pair is discarded when (checked in this order):
 import collections
 import contextlib
 import os
-import unicodedata
+import re
 
 UNK_ID = 0
 START_ID = 1
@@ -33,7 +36,10 @@ UNK, START, PAD = "<unk>", "<s>", "<pad>"
 RESERVED = (UNK, START, PAD)
 
 # peelable punctuation: excludes '#' (masked digits), apostrophe, hyphen
-_PUNCT = set("!\"$%&()*+,./:;<=>?@[\\]^_`{|}~") | set("‘’“”–—…«»")
+_PUNCT = "!\"$%&()*+,./:;<=>?@[\\]^_`{|}~‘’“”–—…«»"
+
+# \d on str patterns is exactly the Unicode category Nd
+_DIGIT = re.compile(r"\d")
 
 STOPWORDS = frozenset("""
 a about above after again against all am an and any are aren't as at be
@@ -57,18 +63,29 @@ EDIT_MARKERS = frozenset([
     "adds", "rpt", "repeating", "dateline", "grafs", "undated",
 ])
 
-_BRACKETS = {"(", ")", "[", "]", "{", "}"}
+# a headline holding any of these tokens carries an edit mark
+_EDIT_TOKENS = EDIT_MARKERS | set("()[]{}")
 
 
 @contextlib.contextmanager
 def atomic_open(path, mode="w"):
     """Open a temp file beside `path` for writing; on a clean exit fsync it
     and os.replace it into place. A failed write leaves any earlier file at
-    `path` intact and removes the temp file."""
+    `path` intact and removes the temp file. A symbolic link keeps pointing
+    at the file it names, which is the one replaced. A path that exists but
+    is not a regular file, such as /dev/stdout or a pipe, is written in
+    place, since replacing it would put a file where the device or pipe
+    was."""
     path = os.fspath(path)
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding=encoding) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -79,32 +96,18 @@ def atomic_open(path, mode="w"):
         raise
 
 
-def _is_punct_char(ch):
-    return ch in _PUNCT
-
-
 def preprocess(text):
     """Raw string -> token list per the module tokenizer rules."""
-    masked = []
-    for ch in text.lower():
-        masked.append("#" if unicodedata.category(ch) == "Nd" else ch)
     tokens = []
-    for chunk in "".join(masked).split():
-        if all(_is_punct_char(c) for c in chunk):
+    for chunk in _DIGIT.sub("#", text.lower()).split():
+        core = chunk.strip(_PUNCT)
+        if not core:
             tokens.append(chunk)
             continue
-        lead = []
-        while chunk and _is_punct_char(chunk[0]):
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        trail = []
-        while chunk and _is_punct_char(chunk[-1]):
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trail))
+        lead = len(chunk) - len(chunk.lstrip(_PUNCT))
+        tokens.extend(chunk[:lead])
+        tokens.append(core)
+        tokens.extend(chunk[lead + len(core):])
     return tokens
 
 
@@ -113,19 +116,13 @@ def detokenize(tokens):
 
 
 def truncate_bytes(text, cap):
-    """First <= cap bytes of text's UTF-8 form, never splitting a character."""
+    """Longest whole-character prefix of text within cap UTF-8 bytes; None
+    leaves text whole."""
     if cap is None:
         return text
-    raw = text.encode("utf-8")
-    if len(raw) <= cap:
-        return text
-    cut = raw[:cap]
-    # back off over a split multi-byte sequence (continuation bytes 0b10xxxxxx)
-    while cut and (cut[-1] & 0xC0) == 0x80:
-        cut = cut[:-1]
-    if cut and cut[-1] >= 0xC0:
-        cut = cut[:-1]
-    return cut.decode("utf-8")
+    if cap < 1:
+        raise ValueError(f"byte cap must be at least 1, got {cap}")
+    return text.encode("utf-8")[:cap].decode("utf-8", "ignore")
 
 
 def _is_word(token):
@@ -135,13 +132,8 @@ def _is_word(token):
 def has_edit_mark(headline_tokens):
     if not headline_tokens:
         return False
-    first = headline_tokens[0]
-    if first and all(c == "-" for c in first):
-        return True
-    for tok in headline_tokens:
-        if tok in EDIT_MARKERS or tok in _BRACKETS:
-            return True
-    return False
+    return (set(headline_tokens[0]) == {"-"}
+            or not _EDIT_TOKENS.isdisjoint(headline_tokens))
 
 
 def which_filter(article_tokens, headline_tokens):
@@ -244,7 +236,7 @@ def read_pairs(path):
 
 
 def write_pairs(path, pairs):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for headline_tokens, article_tokens in pairs:
             fh.write(f"{detokenize(headline_tokens)}\t{detokenize(article_tokens)}\n")
 
@@ -271,6 +263,13 @@ def preprocess_pairs(raw_pairs):
         counts["kept"] += 1
         kept.append((head_tokens, art_tokens))
     return kept, counts
+
+
+def require_aligned(path, lines, expected):
+    """Refuse a file that should hold one line per line of another file."""
+    if len(lines) != expected:
+        raise ValueError(f"{path}: {len(lines)} lines, expected {expected} "
+                         f"(line {min(len(lines), expected) + 1})")
 
 
 def encode_pairs(token_pairs, vocab):

@@ -50,10 +50,6 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = as_tensor(value)
         self._params[name] = arr
-        # np.zeros, not zeros_like, which writes its zeros: a large buffer
-        # then stays untouched zero pages until a backward pass writes it,
-        # so loading a model to decode never pays for its gradients
-        self._grads[name] = np.zeros(arr.shape)
         return arr
 
     def __contains__(self, name):
@@ -71,6 +67,12 @@ class ParamStore:
         self._params[name] = arr
 
     def grad(self, name):
+        """The parameter's gradient accumulator, allocated zeroed at first
+        use, so that loading a model to decode allocates no gradients:
+        np.zeros leaves them untouched pages only while the allocator maps
+        fresh memory for them, which depends on what it freed earlier."""
+        if name not in self._grads:
+            self._grads[name] = np.zeros(self._params[name].shape)
         return self._grads[name]
 
     def names(self):

@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import detokenize, preprocess, truncate_bytes
+from .corpus import detokenize, preprocess, require_aligned, truncate_bytes
 
 METRICS = ("rouge1", "rouge2", "rougeL")
 
@@ -133,10 +133,7 @@ def evaluate_corpus(cand_path, ref_paths, metrics, byte_cap=None,
     candidates = read_token_lines(cand_path)
     ref_files = [read_token_lines(p) for p in ref_paths]
     for path, refs in zip(ref_paths, ref_files):
-        if len(refs) != len(candidates):
-            raise ValueError(
-                f"{path}: {len(refs)} lines, expected {len(candidates)} "
-                f"(line {min(len(refs), len(candidates)) + 1})")
+        require_aligned(path, refs, len(candidates))
     instances = [EvalInstance(candidate=cand,
                               references=[refs[i] for refs in ref_files])
                  for i, cand in enumerate(candidates)]
@@ -145,11 +142,7 @@ def evaluate_corpus(cand_path, ref_paths, metrics, byte_cap=None,
         report[metric] = corpus_score(instances, metric, byte_cap)
     if inputs_path is not None:
         inputs = read_token_lines(inputs_path)
-        if len(inputs) != len(candidates):
-            raise ValueError(
-                f"{inputs_path}: {len(inputs)} lines, expected "
-                f"{len(candidates)} "
-                f"(line {min(len(inputs), len(candidates)) + 1})")
+        require_aligned(inputs_path, inputs, len(candidates))
         report["ext_pct"] = extractive_pct(candidates, inputs, byte_cap)
     return report
 

@@ -24,6 +24,9 @@ class _FullDisk:
     def __enter__(self):
         return self
 
+    def __iter__(self):
+        return iter(self._fh)
+
     def __exit__(self, *exc):
         self._fh.close()
 

@@ -134,6 +134,24 @@ def test_preprocess_counts_each_reason(tmp_path, capsys):
         "alpha bravo\talpha bravo carol\n"
 
 
+def test_failed_preprocess_keeps_the_earlier_pairs_file(tmp_path, capsys,
+                                                        disk_full_after):
+    raw = tmp_path / "raw.tsv"
+    pairs = tmp_path / "pairs.tsv"
+    args = ["preprocess", "--pairs", str(raw), "--out-pairs", str(pairs),
+            "--out-vocab", str(tmp_path / "vocab.tsv"), "--min-count", "1"]
+    write_raw_pairs(raw)
+    assert main(args) == 0
+    before = pairs.read_bytes()
+    write_raw_pairs(raw, seed=1)
+    disk_full_after(len(before) // 2)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert pairs.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["pairs.tsv", "raw.tsv",
+                                            "vocab.tsv"]
+
+
 def test_preprocess_empty_file(tmp_path, capsys):
     raw = tmp_path / "raw.tsv"
     raw.write_text("", encoding="utf-8")
@@ -368,6 +386,19 @@ def test_baseline_tokens_always_come_from_input(tmp_path, capsys):
                         inp.read_text().splitlines()):
         assert got == src  # shorter than the cap: unchanged
         assert set(got.split()) <= set(src.split())
+
+
+@pytest.mark.parametrize("command", ["baseline", "eval"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_byte_cap_below_one_is_a_data_error(tmp_path, capsys, command, cap):
+    text = tmp_path / "text.txt"
+    text.write_text("Markets fall sharply in Asia today\n", encoding="utf-8")
+    args = (["baseline", "--input", str(text)] if command == "baseline" else
+            ["eval", "--cand", str(text), "--refs", str(text)])
+    assert main(args + ["--byte-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: byte cap must be at least 1")
 
 
 def test_describe_prints_header(tmp_path, capsys):

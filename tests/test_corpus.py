@@ -1,5 +1,9 @@
 import collections
 import os
+import random
+import stat
+import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from attnsum.corpus import (
     truncate_bytes,
     which_filter,
 )
+from attnsum.cli import _prefix_line
 
 # expected outputs hand-derived from the documented tokenizer rules
 GOLDEN = [
@@ -130,6 +135,32 @@ def test_vocab_save_is_atomic(tmp_path, disk_full_after):
     assert os.listdir(tmp_path) == ["vocab.tsv"]
 
 
+def test_atomic_open_writes_a_pipe_in_place(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with corpus.atomic_open(fifo) as fh:
+            fh.write("through the pipe\n")
+        assert os.read(reader, 100) == b"through the pipe\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["out.fifo"]
+
+
+def test_atomic_open_replaces_the_file_a_link_names(tmp_path):
+    target = tmp_path / "real.txt"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target.name)
+    with corpus.atomic_open(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
 def test_filter_question_mark_and_colon():
     art = preprocess("markets fall sharply in asia")
     assert which_filter(art, preprocess("markets fall ?")) == 3
@@ -200,6 +231,121 @@ def test_truncate_bytes():
     # 4-byte char
     s4 = "a\U0001F600b"
     assert truncate_bytes(s4, 3) == "a"
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_truncate_bytes_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="byte cap must be at least 1"):
+        truncate_bytes("abc", cap)
+
+
+# Oracles: the per-character tokenizer and edit-mark test as first written,
+# a brute-force byte cap, and the baseline's token-by-token prefix loop.
+_REF_PUNCT = set("!\"$%&()*+,./:;<=>?@[\\]^_`{|}~‘’“”–—…«»")
+
+
+def reference_preprocess(text):
+    masked = "".join("#" if unicodedata.category(ch) == "Nd" else ch
+                     for ch in text.lower())
+    tokens = []
+    for chunk in masked.split():
+        if all(c in _REF_PUNCT for c in chunk):
+            tokens.append(chunk)
+            continue
+        lead, trail = [], []
+        while chunk and chunk[0] in _REF_PUNCT:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and chunk[-1] in _REF_PUNCT:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(lead)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trail))
+    return tokens
+
+
+def reference_has_edit_mark(tokens):
+    if tokens and tokens[0] and all(c == "-" for c in tokens[0]):
+        return True
+    return any(t in corpus.EDIT_MARKERS or t in ("(", ")", "[", "]", "{", "}")
+               for t in tokens)
+
+
+def reference_truncate(text, cap):
+    k = len(text)
+    while len(text[:k].encode("utf-8")) > cap:
+        k -= 1
+    return text[:k]
+
+
+def reference_prefix_line(line, cap):
+    tokens = preprocess(line)
+    kept = []
+    for token in tokens:
+        if len(" ".join(kept + [token]).encode("utf-8")) > cap:
+            break
+        kept.append(token)
+    if kept or not tokens:
+        return " ".join(kept)
+    return reference_truncate(tokens[0], cap)
+
+
+ND_DIGITS = [chr(c) for c in range(sys.maxunicode + 1)
+             if unicodedata.category(chr(c)) == "Nd"]
+# letters (Turkish dotted I, sharp s, sigma and the fi ligature change
+# length or form when lowercased), every peelable mark, the unpeelable
+# "#'-", and whitespace beyond ASCII
+TEXT_CHARS = (list("abzABZ#'-İßΣﬁé日😀") + sorted(_REF_PUNCT)
+              + [" ", "\t", "\n", "\u3000", "\u0085", "\u001c"])
+EDIT_WORDS = ["by", "Urgent", "--", "-", "(", "]", "{", "markets"]
+
+
+def random_text(rng):
+    chars = [rng.choice(TEXT_CHARS if rng.random() < 0.8 else ND_DIGITS)
+             for _ in range(rng.randint(0, 30))]
+    if rng.random() < 0.3:
+        chars.insert(rng.randint(0, len(chars)),
+                     f" {rng.choice(EDIT_WORDS)} ")
+    return "".join(chars)
+
+
+def test_preprocess_matches_per_character_oracle():
+    rng = random.Random(13)
+    texts = [random_text(rng) for _ in range(4000)] + ["".join(ND_DIGITS)]
+    for text in texts:
+        tokens = preprocess(text)
+        assert tokens == reference_preprocess(text), text
+        assert corpus.has_edit_mark(tokens) == reference_has_edit_mark(tokens)
+    assert preprocess("".join(ND_DIGITS)) == ["#" * len(ND_DIGITS)]
+
+
+@pytest.mark.parametrize("text,cap,expected", [
+    ("éa", 2, "é"), ("日本語x", 6, "日本"),
+    ("a\U0001F600b", 5, "a\U0001F600")])
+def test_truncate_bytes_keeps_a_character_ending_at_the_cap(text, cap,
+                                                           expected):
+    assert truncate_bytes(text, cap) == expected
+
+
+def test_truncate_bytes_matches_brute_force_prefix():
+    rng = random.Random(5)
+    # 1- to 4-byte characters
+    chars = ["a", "z", " ", "é", "ß", "日", "€", "\U0001F600",
+             "\U00010348"]
+    for _ in range(3000):
+        text = "".join(rng.choice(chars) for _ in range(rng.randint(0, 12)))
+        cap = rng.randint(1, 50)
+        assert truncate_bytes(text, cap) == reference_truncate(text, cap)
+
+
+def test_prefix_line_matches_token_by_token_loop():
+    rng = random.Random(21)
+    for _ in range(3000):
+        line = random_text(rng)
+        cap = rng.randint(1, 40)
+        assert _prefix_line(line, cap) == reference_prefix_line(line, cap)
 
 
 def test_encode_pairs_flips_to_input_output():

@@ -1,6 +1,8 @@
 """Every top-level function and class of the package has a caller outside
 the tests, and every parameter with a default is set by some caller, or
-each has a stated reason to stay without one.
+each has a stated reason to stay without one. Every name that a module
+imports at module level is used by that module, unless the import is
+marked `# noqa: F401`.
 
 A name counts as called when some module of `src/attnsum/` or of
 `perfbench/` (its own test module aside) mentions it as a name, an
@@ -164,3 +166,29 @@ def test_unset_parameters_are_defined_and_still_unset():
     defined = {qualified for qualified, _, _ in defaulted_params()}
     assert set(UNSET) <= defined
     assert set(UNSET) <= set(unset_params())
+
+
+def unused_imports():
+    """module.name of every name bound by a module-level import that its
+    module never reads; an import statement with `# noqa: F401` on any of
+    its lines is left out."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = parse(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    assert unused_imports() == []
