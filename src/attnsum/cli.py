@@ -15,12 +15,13 @@ import sys
 
 from . import CORPUS_FORMAT_VERSION, MODEL_FORMAT_VERSION, __version__
 from .corpus import (Vocab, atomic_open, detokenize, encode_pairs,
-                     preprocess, preprocess_pairs, read_pairs,
+                     preprocess, preprocess_pairs, read_lines, read_pairs,
                      require_aligned, truncate_bytes, write_pairs)
 from .decoding import MODES, DecodeConfig, beam_search, finalize
 from .model import (ENCODERS, Hyperparams, Scorer, attention_trace,
                     load_model, read_model_header, save_model)
-from .rouge import METRICS, evaluate_corpus, format_report, report_json
+from .rouge import (METRICS, evaluate_corpus, format_report, read_token_lines,
+                    report_json)
 from .training import TrainConfig, TrainingDiverged, train
 from .tuning import FeatureWeights, TunedScorer, dev_score, mert_tune
 
@@ -32,11 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-def _read_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
 
 
 def _write_lines(path, lines):
@@ -58,23 +54,20 @@ def _load_model_and_vocab(args):
 
 
 def _decode_config(args):
-    return DecodeConfig(length=args.N, beam=args.beam, mode=args.mode,
-                        byte_cap=args.byte_cap,
-                        forbid_unk=not getattr(args, "allow_unk", False))
+    config = DecodeConfig(length=args.N, beam=args.beam, mode=args.mode,
+                          byte_cap=args.byte_cap,
+                          forbid_unk=not getattr(args, "allow_unk", False))
+    return config.validate()
 
 
-def _decode_corpus(params, hyper, vocab, lines, config, weights=None):
-    """Decode one hypothesis per input line, in line order."""
-    results = []
-    for i, line in enumerate(lines):
-        tokens = preprocess(line)
+def _sentences(path):
+    """One token list per line of `path`; a line with no tokens is
+    refused."""
+    sentences = read_token_lines(path)
+    for k, tokens in enumerate(sentences, 1):
         if not tokens:
-            raise ValueError(f"input line {i + 1} is empty")
-        x = vocab.encode(tokens)
-        base = Scorer(params, hyper, x)
-        scorer = base if weights is None else TunedScorer(base, weights)
-        results.append((x, beam_search(scorer, config)[0]))
-    return results
+            raise ValueError(f"{path}: line {k} is empty")
+    return sentences
 
 
 def _write_trace(path, params, hyper, results):
@@ -156,43 +149,45 @@ def cmd_train(args):
     print(f"final {final} valid_ppl {history[-1].valid_perplexity:.6f}")
 
 
-def cmd_decode(args):
-    params, hyper, vocab = _load_model_and_vocab(args)
+def _decode_input(args, trace, weights_path=None):
+    """Decode the best hypothesis of each --input line, in line order, and
+    write their attention rows to `trace` unless it is None; returns the
+    vocabulary, the config and the (input ids, hypothesis) pairs."""
     config = _decode_config(args)
-    if args.trace is not None and hyper.encoder != "attention":
+    params, hyper, vocab = _load_model_and_vocab(args)
+    if trace is not None and hyper.encoder != "attention":
         raise ValueError("--trace requires a model with the attention "
                          f"encoder, not {hyper.encoder!r}")
-    weights = (FeatureWeights.load(args.weights)
-               if args.weights is not None else None)
-    lines = _read_lines(args.input)
-    results = _decode_corpus(params, hyper, vocab, lines, config,
-                             weights=weights)
+    weights = (FeatureWeights.load(weights_path)
+               if weights_path is not None else None)
+    results = []
+    for tokens in _sentences(args.input):
+        x = vocab.encode(tokens)
+        base = Scorer(params, hyper, x)
+        scorer = base if weights is None else TunedScorer(base, weights)
+        results.append((x, beam_search(scorer, config)[0]))
+    if trace is not None:
+        _write_trace(trace, params, hyper, results)
+    return vocab, config, results
+
+
+def cmd_decode(args):
+    vocab, config, results = _decode_input(args, args.trace, args.weights)
     _write_lines(args.out, [finalize(hyp, config, vocab)
                             for _, hyp in results])
-    if args.trace is not None:
-        _write_trace(args.trace, params, hyper, results)
 
 
 def cmd_trace(args):
-    args.trace = args.out
-    args.out = os.devnull
-    args.weights = None
-    cmd_decode(args)
+    _decode_input(args, args.out)
 
 
 def cmd_tune(args):
-    params, hyper, vocab = _load_model_and_vocab(args)
     config = _decode_config(args)
-    dev_lines = _read_lines(args.dev)
-    ref_lines = _read_lines(args.refs)
-    require_aligned(args.refs, ref_lines, len(dev_lines))
-    dev = []
-    for i, (line, ref) in enumerate(zip(dev_lines, ref_lines), 1):
-        tokens = preprocess(line)
-        ref_tokens = preprocess(ref)
-        if not tokens or not ref_tokens:
-            raise ValueError(f"line {i} is empty")
-        dev.append((vocab.encode(tokens), [ref_tokens]))
+    params, hyper, vocab = _load_model_and_vocab(args)
+    inputs = _sentences(args.dev)
+    refs = _sentences(args.refs)
+    require_aligned(args.refs, refs, len(inputs))
+    dev = [(vocab.encode(tokens), [ref]) for tokens, ref in zip(inputs, refs)]
     before = dev_score(params, hyper, vocab, dev, FeatureWeights.identity(),
                        config, args.metric)
     weights = mert_tune(params, hyper, vocab, dev, config,
@@ -229,9 +224,8 @@ def _prefix_line(line, byte_cap):
 
 
 def cmd_baseline(args):
-    lines = _read_lines(args.input)
     _write_lines(args.out, [_prefix_line(line, args.byte_cap)
-                            for line in lines])
+                            for line in read_lines(args.input)])
 
 
 def cmd_describe(args):
@@ -288,8 +282,6 @@ def _build_parser():
     def add_decode_flags(p):
         p.add_argument("--model", required=True)
         p.add_argument("--vocab", required=True)
-        p.add_argument("--input", required=True,
-                       help="one sentence per line")
         p.add_argument("--N", type=int, required=True,
                        help="summary length in tokens")
         p.add_argument("--beam", type=int, default=8)
@@ -298,6 +290,7 @@ def _build_parser():
 
     p = sub.add_parser("decode", help="generate summaries")
     add_decode_flags(p)
+    p.add_argument("--input", required=True, help="one sentence per line")
     p.add_argument("--allow-unk", action="store_true",
                    help="let the unknown-word symbol be generated")
     p.add_argument("--weights", help="tuned feature weights JSON")
@@ -309,19 +302,15 @@ def _build_parser():
     p = sub.add_parser("trace",
                        help="decode and export attention heatmap rows")
     add_decode_flags(p)
+    p.add_argument("--input", required=True, help="one sentence per line")
     p.add_argument("--out", required=True, help="trace TSV path")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("tune", help="fit re-ranking feature weights")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
+    add_decode_flags(p)
     p.add_argument("--dev", required=True, help="input sentences")
     p.add_argument("--refs", required=True, help="aligned references")
     p.add_argument("--metric", choices=METRICS, default="rouge1")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--mode", choices=MODES, default="abstractive")
-    p.add_argument("--byte-cap", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="weights JSON path")
     p.set_defaults(func=cmd_tune)

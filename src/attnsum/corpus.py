@@ -219,6 +219,13 @@ class Vocab:
         return cls(tokens, counts)
 
 
+def read_lines(path):
+    r"""A UTF-8 text file's lines, each ended by '\n', '\r\n' or '\r'; other
+    Unicode line separators stay inside the line."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n") for line in fh]
+
+
 def read_pairs(path):
     """Read 'headline<TAB>article' lines -> list of (headline, article) strings."""
     pairs = []

@@ -13,7 +13,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import detokenize, preprocess, require_aligned, truncate_bytes
+from .corpus import (detokenize, preprocess, read_lines, require_aligned,
+                     truncate_bytes)
 
 METRICS = ("rouge1", "rouge2", "rougeL")
 
@@ -122,8 +123,7 @@ def extractive_pct(candidates, inputs, byte_cap=None):
 
 def read_token_lines(path):
     """One tokenized sentence per line, via the shared preprocessor."""
-    with open(path, encoding="utf-8") as fh:
-        return [preprocess(line.rstrip("\n")) for line in fh]
+    return [preprocess(line) for line in read_lines(path)]
 
 
 def evaluate_corpus(cand_path, ref_paths, metrics, byte_cap=None,

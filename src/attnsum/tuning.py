@@ -228,6 +228,8 @@ def _decode_dev(params, hyper, dev, weights, config):
     references) pair, the input, its final beam (best first) and the
     references. Scorers are not kept: each base Scorer holds a (1, V)
     enc_logit for a bow or conv model, 160 KB at V=20k."""
+    if not dev:
+        raise ValueError("dev set is empty")
     decoded = []
     for x, refs in dev:
         scorer = TunedScorer(model.Scorer(params, hyper, x), weights)
@@ -358,8 +360,6 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
     once. The search starts from the identity weights, and the weights
     returned never have a lower dev metric than those."""
     dev = list(dev)
-    if not dev:
-        raise ValueError("dev set is empty")
     weights = FeatureWeights.identity()
     decoded = _decode_dev(params, hyper, dev, weights, config)
     current = _dev_metric(decoded, vocab, config, metric)

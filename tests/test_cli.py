@@ -2,6 +2,7 @@
 tune/eval pipeline, serialization round-trips, trace export, and the prefix
 baseline."""
 
+import argparse
 import collections
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 
 import attnsum
 from attnsum import model
-from attnsum.cli import main
+from attnsum.cli import _build_parser, main
 from attnsum.corpus import Vocab
 from attnsum.decoding import DecodeConfig, beam_search, finalize
 from attnsum.tuning import TunedScorer, FeatureWeights
@@ -69,6 +70,71 @@ def save_toy_model(tmp_path, encoder="attention", seed=0):
     model.save_model(mpath, params, hyper)
     vocab.save(vpath)
     return mpath, vpath, params, hyper, vocab
+
+
+# the command-line surface, recorded before decode, trace and tune came to
+# share their flag definitions: per subcommand, each option's (required,
+# default, choices, type, nargs)
+REQUIRED = (True, None, None, None, None)
+TEXT = (False, None, None, None, None)
+N_FLAG = (True, None, None, int, None)
+BEAM = (False, 8, None, int, None)
+MODE = (False, "abstractive", ("abstractive", "extractive"), None, None)
+BYTE_CAP = (False, None, None, int, None)
+CLI_SURFACE = {
+    "preprocess": {"--pairs": REQUIRED, "--out-pairs": REQUIRED,
+                   "--out-vocab": REQUIRED,
+                   "--min-count": (False, 5, None, int, None)},
+    "train": {"--pairs": REQUIRED, "--vocab": REQUIRED,
+              "--out-dir": REQUIRED, "--valid": TEXT,
+              "--encoder": (False, "attention",
+                            ("none", "bow", "conv", "attention"), None,
+                            None),
+              "--embed-dim": (False, 50, None, int, None),
+              "--hidden-dim": (False, 100, None, int, None),
+              "--context-size": (False, 5, None, int, None),
+              "--conv-layers": (False, 3, None, int, None),
+              "--window": (False, 2, None, int, None),
+              "--epochs": (False, 15, None, int, None),
+              "--lr": (False, 0.05, None, float, None),
+              "--batch-size": (False, 64, None, int, None),
+              "--max-norm": (False, 1.0, None, float, None),
+              "--seed": (False, 0, None, int, None)},
+    "decode": {"--model": REQUIRED, "--vocab": REQUIRED,
+               "--input": REQUIRED, "--N": N_FLAG, "--beam": BEAM,
+               "--mode": MODE, "--byte-cap": BYTE_CAP,
+               "--allow-unk": (False, False, None, None, 0),
+               "--weights": TEXT, "--trace": TEXT, "--out": TEXT},
+    "trace": {"--model": REQUIRED, "--vocab": REQUIRED,
+              "--input": REQUIRED, "--N": N_FLAG, "--beam": BEAM,
+              "--mode": MODE, "--byte-cap": BYTE_CAP, "--out": REQUIRED},
+    "tune": {"--model": REQUIRED, "--vocab": REQUIRED, "--dev": REQUIRED,
+             "--refs": REQUIRED,
+             "--metric": (False, "rouge1", ("rouge1", "rouge2", "rougeL"),
+                          None, None),
+             "--N": N_FLAG, "--beam": BEAM, "--mode": MODE,
+             "--byte-cap": BYTE_CAP, "--seed": (False, 0, None, int, None),
+             "--out": REQUIRED},
+    "eval": {"--cand": REQUIRED, "--refs": REQUIRED,
+             "--metrics": (False, "rouge1,rouge2,rougeL", None, None, None),
+             "--byte-cap": BYTE_CAP, "--inputs": TEXT},
+    "baseline": {"--input": REQUIRED,
+                 "--byte-cap": (False, 75, None, int, None), "--out": TEXT},
+    "describe": {"--model": REQUIRED},
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = _build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    surface = {
+        name: {", ".join(a.option_strings):
+               (a.required, a.default, a.choices, a.type, a.nargs)
+               for a in command._actions
+               if not isinstance(a, argparse._HelpAction)}
+        for name, command in sub.choices.items()}
+    assert surface == CLI_SURFACE
 
 
 def test_usage_and_version_exit_codes(capsys):
@@ -222,6 +288,47 @@ def test_decode_reports_empty_line(tmp_path, capsys):
     assert main(["decode", "--model", str(mpath), "--vocab", str(vpath),
                  "--input", str(inp), "--N", "2"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [("decode", "--beam"),
+                                          ("trace", "--N"),
+                                          ("tune", "--beam")])
+def test_bad_decode_flag_is_refused_on_empty_input(tmp_path, capsys,
+                                                   command, flag):
+    mpath, vpath, *_ = save_toy_model(tmp_path)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    values = {"--N": "2", "--beam": "2", flag: "0"}
+    files = (["--dev", str(empty), "--refs", str(empty)]
+             if command == "tune" else ["--input", str(empty)])
+    assert main([command, "--model", str(mpath), "--vocab", str(vpath),
+                 "--out", str(out)] + files
+                + [arg for item in values.items() for arg in item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 1" in err
+    assert not out.exists()
+
+
+# U+2028, U+0085 and a form feed end no line: they are spaces within one
+SEPARATED = "alpha\u2028bravo carol\nDelta\u0085eagle\x0calpha\n"
+
+
+def test_only_newlines_end_a_line(tmp_path, capsys):
+    mpath, vpath, *_ = save_toy_model(tmp_path)
+    inp = tmp_path / "input.txt"
+    inp.write_text(SEPARATED, encoding="utf-8")
+    dec = tmp_path / "decoded.txt"
+    base = tmp_path / "base.txt"
+    assert main(["decode", "--model", str(mpath), "--vocab", str(vpath),
+                 "--input", str(inp), "--N", "2", "--out", str(dec)]) == 0
+    assert main(["baseline", "--input", str(inp), "--out", str(base)]) == 0
+    assert base.read_bytes() == b"alpha bravo carol\ndelta eagle alpha\n"
+    assert dec.read_bytes().count(b"\n") == 2
+    capsys.readouterr()
+    for cand in (dec, base):
+        assert main(["eval", "--cand", str(cand), "--refs", str(inp)]) == 0
+        assert '"instances": 2' in capsys.readouterr().out
 
 
 def test_decode_rejects_mismatched_vocab(tmp_path, capsys):
@@ -537,6 +644,39 @@ def test_malformed_weights_file_is_a_data_error(tmp_path, text):
     assert proc.stderr.startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_tune_reports_each_file_own_line(tmp_path, capsys):
+    mpath, vpath = biased_model_files(tmp_path)
+    dev = tmp_path / "dev.txt"
+    refs = tmp_path / "refs.txt"
+    tune = ["tune", "--model", str(mpath), "--vocab", str(vpath),
+            "--dev", str(dev), "--refs", str(refs), "--N", "3",
+            "--out", str(tmp_path / "w.json")]
+    dev.write_text("a\u2028b c\n", encoding="utf-8")
+    refs.write_text("a b\x0cc\n", encoding="utf-8")
+    assert main(tune) == 0
+    assert "tuned 1.000000" in capsys.readouterr().out
+    for dev_text, refs_text, bad, line in [
+            ("a\u2028b\x0cc\na b\n\n", "a b c\na b\nc\n", dev, 3),
+            ("a b c\na b\n", "a\u0085b c\n\u2028\n", refs, 2)]:
+        dev.write_text(dev_text, encoding="utf-8")
+        refs.write_text(refs_text, encoding="utf-8")
+        assert main(tune) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line {line} is empty\n"
+
+
+def test_tune_empty_dev_set_is_a_data_error(tmp_path, capsys):
+    mpath, vpath = biased_model_files(tmp_path)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    wpath = tmp_path / "weights.json"
+    assert main(["tune", "--model", str(mpath), "--vocab", str(vpath),
+                 "--dev", str(empty), "--refs", str(empty), "--N", "3",
+                 "--out", str(wpath)]) == 2
+    assert capsys.readouterr().err == "error: dev set is empty\n"
+    assert not wpath.exists()
 
 
 def test_tune_rejects_misaligned_refs(tmp_path, capsys):

@@ -278,6 +278,13 @@ def test_mert_requires_dev_data():
         mert_tune(params, hyper, vocab, [], config)
 
 
+def test_dev_score_requires_dev_data():
+    params, hyper, vocab, _, config = biased_fixture()
+    with pytest.raises(ValueError, match="dev set is empty"):
+        dev_score(params, hyper, vocab, [], FeatureWeights.identity(),
+                  config, "rouge1")
+
+
 def test_mert_recovers_extractive_reference():
     params, hyper, vocab, dev, config = biased_fixture()
     before = dev_score(params, hyper, vocab, dev,
