@@ -14,9 +14,10 @@ import struct
 import sys
 
 from . import CORPUS_FORMAT_VERSION, MODEL_FORMAT_VERSION, __version__
-from .corpus import (Vocab, atomic_open, detokenize, encode_pairs,
-                     preprocess, preprocess_pairs, read_lines, read_pairs,
-                     require_aligned, truncate_bytes, write_pairs)
+from .corpus import (Vocab, atomic_open, check_byte_cap, detokenize,
+                     encode_pairs, preprocess, preprocess_pairs, read_lines,
+                     read_pairs, read_token_pairs, require_aligned,
+                     truncate_bytes, write_pairs)
 from .decoding import MODES, DecodeConfig, beam_search, finalize
 from .model import (ENCODERS, Hyperparams, Scorer, attention_trace,
                     load_model, read_model_header, save_model)
@@ -54,10 +55,9 @@ def _load_model_and_vocab(args):
 
 
 def _decode_config(args):
-    config = DecodeConfig(length=args.N, beam=args.beam, mode=args.mode,
-                          byte_cap=args.byte_cap,
-                          forbid_unk=not getattr(args, "allow_unk", False))
-    return config.validate()
+    return DecodeConfig(length=args.N, beam=args.beam, mode=args.mode,
+                        byte_cap=args.byte_cap,
+                        forbid_unk=not getattr(args, "allow_unk", False))
 
 
 def _sentences(path):
@@ -93,15 +93,11 @@ def cmd_preprocess(args):
     print(f"vocab {len(vocab)}")
 
 
-def _token_pairs(path):
-    return [(head.split(), art.split()) for head, art in read_pairs(path)]
-
-
 def cmd_train(args):
     vocab = Vocab.load(args.vocab)
-    pairs = encode_pairs(_token_pairs(args.pairs), vocab)
+    pairs = encode_pairs(read_token_pairs(args.pairs), vocab)
     if args.valid is not None:
-        valid = encode_pairs(_token_pairs(args.valid), vocab)
+        valid = encode_pairs(read_token_pairs(args.valid), vocab)
     else:
         # deterministic tail holdout; tiny corpora validate on themselves
         n_valid = max(1, len(pairs) // 10)
@@ -109,17 +105,16 @@ def cmd_train(args):
             valid, pairs = pairs[-n_valid:], pairs[:-n_valid]
         else:
             valid = pairs
+    # both configs check their fields as they are built, before the output
+    # directory is touched, so a rejected run leaves an earlier run's files
     hyper = Hyperparams(vocab_size=len(vocab), embed_dim=args.embed_dim,
                         hidden_dim=args.hidden_dim,
                         context_size=args.context_size,
                         encoder=args.encoder, conv_layers=args.conv_layers,
                         window=args.window)
-    # validated before the output directory is touched, so a rejected run
-    # leaves an earlier run's history and checkpoints as they were
     config = TrainConfig(hyperparams=hyper, max_epochs=args.epochs,
                          learning_rate=args.lr, batch_size=args.batch_size,
-                         seed=args.seed,
-                         renorm_max_norm=args.max_norm).validate()
+                         seed=args.seed, renorm_max_norm=args.max_norm)
     os.makedirs(args.out_dir, exist_ok=True)
     history_path = os.path.join(args.out_dir, "history.jsonl")
     with open(history_path, "w", encoding="utf-8") as history_fh:
@@ -224,6 +219,7 @@ def _prefix_line(line, byte_cap):
 
 
 def cmd_baseline(args):
+    check_byte_cap(args.byte_cap)
     _write_lines(args.out, [_prefix_line(line, args.byte_cap)
                             for line in read_lines(args.input)])
 

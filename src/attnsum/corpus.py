@@ -15,6 +15,7 @@ form fits within the cap; a cap below 1 is refused.
 
 Pair files are UTF-8, one pair per line, "headline<TAB>article". Vocabulary
 files are one "token<TAB>count" per line with the reserved symbols first.
+One reader serves both, and a refusal names the file and line.
 
 A pair is discarded when (checked in this order):
   1. headline and article share no non-stop-word (tokens containing a letter
@@ -115,13 +116,18 @@ def detokenize(tokens):
     return " ".join(tokens)
 
 
+def check_byte_cap(cap):
+    """Refuse a byte cap below 1; None means no cap."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"byte cap must be at least 1, got {cap}")
+
+
 def truncate_bytes(text, cap):
     """Longest whole-character prefix of text within cap UTF-8 bytes; None
     leaves text whole."""
+    check_byte_cap(cap)
     if cap is None:
         return text
-    if cap < 1:
-        raise ValueError(f"byte cap must be at least 1, got {cap}")
     return text.encode("utf-8")[:cap].decode("utf-8", "ignore")
 
 
@@ -160,10 +166,6 @@ class Vocab:
         self.id_to_token = list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         self.counts = dict(counts)
-        if self.id_to_token[:3] != list(RESERVED):
-            raise ValueError("reserved symbols must occupy ids 0..2")
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate tokens in vocabulary")
 
     @classmethod
     def from_counts(cls, counter, min_count=5):
@@ -205,17 +207,21 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        tokens, counts = [], {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'token<TAB>count'")
-                tokens.append(parts[0])
-                counts[parts[0]] = int(parts[1])
+        """One pass over a vocabulary file; a bad line is refused by number."""
+        counts, reserved = {}, list(RESERVED)  # the symbols still to come
+
+        def entry(token, count):
+            if token in counts:
+                raise ValueError(f"duplicate token {token!r}")
+            if reserved and token != reserved.pop(0):
+                raise ValueError("reserved symbols must occupy ids 0..2")
+            counts[token] = int(count)
+            return token
+
+        tokens = list(_records(path, "token<TAB>count", entry))
+        if reserved:
+            raise ValueError(f"{path}: holds {len(tokens)} entries; reserved "
+                             "symbols must occupy ids 0..2")
         return cls(tokens, counts)
 
 
@@ -226,20 +232,42 @@ def read_lines(path):
         return [line.rstrip("\n") for line in fh]
 
 
+def _records(path, what, record):
+    """record(first, second) of each nonblank line of a UTF-8 two-column
+    TSV file, lazily. A line with another number of fields, or one that
+    record refuses with ValueError, is refused as '<path>:<line>: ...'."""
+    lineno = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) == 2:
+                    yield record(fields[0], fields[1])
+                elif fields != [""]:
+                    raise ValueError(f"expected '{what}', got "
+                                     f"{len(fields)} fields")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_pairs(path):
-    """Read 'headline<TAB>article' lines -> list of (headline, article) strings."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'headline<TAB>article', got {len(parts)} fields")
-            pairs.append((parts[0], parts[1]))
-    return pairs
+    """Read 'headline<TAB>article' lines -> list of (headline, article)
+    strings; either side may be empty."""
+    return list(_records(path, "headline<TAB>article", lambda *pair: pair))
+
+
+def read_token_pairs(path):
+    """Read a tokenized pairs file -> list of (headline_tokens,
+    article_tokens); a side with no tokens is refused."""
+    def token_pair(head, art):
+        pair = (head.split(), art.split())
+        if not all(pair):
+            raise ValueError("empty side in pair")
+        return pair
+
+    return list(_records(path, "headline<TAB>article", token_pair))
 
 
 def write_pairs(path, pairs):
@@ -282,13 +310,8 @@ def require_aligned(path, lines, expected):
 def encode_pairs(token_pairs, vocab):
     """(headline_tokens, article_tokens) pairs -> (article_ids, headline_ids) pairs.
 
-    Order flips to (input, output) to match the model's (x, y) convention.
+    Order flips to (input, output) to match the model's (x, y) convention;
+    model.step_table refuses a pair with an empty side.
     """
-    out = []
-    for head_tokens, art_tokens in token_pairs:
-        x = vocab.encode(art_tokens)
-        y = vocab.encode(head_tokens)
-        if not x or not y:
-            raise ValueError("empty side in encoded pair")
-        out.append((x, y))
-    return out
+    return [(vocab.encode(art), vocab.encode(head))
+            for head, art in token_pairs]

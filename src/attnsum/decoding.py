@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_ID, START_ID, UNK_ID, detokenize, truncate_bytes
+from .corpus import (PAD_ID, START_ID, UNK_ID, check_byte_cap, detokenize,
+                     truncate_bytes)
 
 # viterbi_exact refuses state spaces larger than this
 VITERBI_STATE_CAP = 10 ** 6
@@ -37,7 +38,7 @@ class Hypothesis:
     context: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeConfig:
     length: int
     beam: int = 8
@@ -45,16 +46,14 @@ class DecodeConfig:
     byte_cap: int = None
     forbid_unk: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if self.length < 1:
             raise ValueError("output length must be at least 1")
         if self.beam < 1:
             raise ValueError("beam size must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.byte_cap is not None and self.byte_cap < 1:
-            raise ValueError("byte_cap must be positive")
-        return self
+        check_byte_cap(self.byte_cap)
 
 
 def candidate_ids(scorer, config):
@@ -125,7 +124,6 @@ def beam_search(scorer, config, step_hook=None):
     K best survivors; the K expansions are scored as one batch. Returns the
     final hypotheses ranked best-first (fewer than K when the context space
     is exhausted). step_hook(step, beam) observes each step's survivors."""
-    config.validate()
     cands = candidate_ids(scorer, config)
     beam = [_initial(scorer.context_size)]
     for step in range(config.length):
@@ -157,7 +155,6 @@ def beam_search(scorer, config, step_hook=None):
 def greedy(scorer, config):
     """Strictly greedy decoding: at each step take the single best candidate,
     lowest id on ties. Identical to beam_search with beam size 1."""
-    config.validate()
     cands = candidate_ids(scorer, config)
     hyp = _initial(scorer.context_size)
     for _ in range(config.length):
@@ -173,7 +170,6 @@ def greedy(scorer, config):
 def viterbi_exact(scorer, config):
     """Exact argmax over all candidate sequences of the configured length by
     dynamic programming over C-token context states; toy scale only."""
-    config.validate()
     states_bound = scorer.vocab_size ** scorer.context_size
     if states_bound > VITERBI_STATE_CAP:
         raise ValueError(
@@ -212,7 +208,5 @@ def viterbi_exact(scorer, config):
 def finalize(hyp, config, vocab):
     """Detokenize a hypothesis and apply the byte cap, never splitting a
     multi-byte character."""
-    text = detokenize(vocab.decode(list(hyp.tokens)))
-    if config.byte_cap is not None:
-        text = truncate_bytes(text, config.byte_cap)
-    return text
+    return truncate_bytes(detokenize(vocab.decode(list(hyp.tokens))),
+                          config.byte_cap)

@@ -75,17 +75,15 @@ class Hyperparams:
     conv_layers: int = 3
     window: int = 2
 
-    def validate(self):
+    def __post_init__(self):
         if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder kind {self.encoder!r}")
-        for field in ("vocab_size", "embed_dim", "hidden_dim", "context_size"):
+        for field in ("vocab_size", "embed_dim", "hidden_dim", "context_size",
+                      "conv_layers"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be positive")
-        if self.conv_layers < 1:
-            raise ValueError("conv_layers must be positive")
         if self.window < 0:
             raise ValueError("window must be nonnegative")
-        return self
 
 
 def param_shapes(hyper):
@@ -121,7 +119,6 @@ def init_params(hyper, seed):
     Tensors are drawn in canonical order from one PCG64 stream, so a given
     (hyper, seed) always yields bit-identical parameters.
     """
-    hyper.validate()
     rng = np.random.Generator(np.random.PCG64(seed))
     params = ParamStore()
     for name, shape in param_shapes(hyper).items():
@@ -606,7 +603,6 @@ class Scorer:
     """
 
     def __init__(self, params, hyper, x):
-        hyper.validate()
         self.params = params
         self.hyper = hyper
         self.x = _input_ids(x, hyper.vocab_size)
@@ -698,10 +694,9 @@ def _read_header(fh):
         raise ValueError(f"unsupported model format version {version}")
     enc = _read_exact(fh, _read_u32(fh)).decode("utf-8")
     v, d, h, c, layers, window = _read_u32(fh, 6)
-    hyper = Hyperparams(vocab_size=v, embed_dim=d, hidden_dim=h,
-                        context_size=c, encoder=enc, conv_layers=layers,
-                        window=window)
-    return version, hyper.validate()
+    return version, Hyperparams(vocab_size=v, embed_dim=d, hidden_dim=h,
+                                context_size=c, encoder=enc,
+                                conv_layers=layers, window=window)
 
 
 def _read_model(path, payloads):

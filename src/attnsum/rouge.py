@@ -13,8 +13,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import (detokenize, preprocess, read_lines, require_aligned,
-                     truncate_bytes)
+from .corpus import (check_byte_cap, detokenize, preprocess, read_lines,
+                     require_aligned, truncate_bytes)
 
 METRICS = ("rouge1", "rouge2", "rougeL")
 
@@ -39,26 +39,28 @@ def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _best_recall(usable, recall, refusal):
+    """Max of recall(ref) over the usable references; with none usable,
+    raises ValueError(refusal)."""
+    if not usable:
+        raise ValueError(refusal)
+    return max(map(recall, usable))
+
+
 def rouge_n(instance, n, byte_cap=None):
     """Max over references of clipped n-gram recall; references with fewer
     than n tokens are skipped (their denominator would be zero)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     cand = _ngram_counts(_capped(instance.candidate, byte_cap), n)
-    best = None
-    for ref in instance.references:
-        total = len(ref) - n + 1
-        if total < 1:
-            continue
-        ref_counts = _ngram_counts(ref, n)
+
+    def recall(ref):
         clipped = sum(min(count, cand[gram])
-                      for gram, count in ref_counts.items())
-        recall = clipped / total
-        if best is None or recall > best:
-            best = recall
-    if best is None:
-        raise ValueError(f"every reference is shorter than n={n}")
-    return best
+                      for gram, count in _ngram_counts(ref, n).items())
+        return clipped / (len(ref) - n + 1)
+
+    return _best_recall([ref for ref in instance.references if len(ref) >= n],
+                        recall, f"every reference is shorter than n={n}")
 
 
 def _lcs_len(a, b):
@@ -77,16 +79,9 @@ def _lcs_len(a, b):
 def rouge_l(instance, byte_cap=None):
     """Max over references of LCS(candidate, reference) / |reference|."""
     cand = _capped(instance.candidate, byte_cap)
-    best = None
-    for ref in instance.references:
-        if not ref:
-            continue
-        recall = _lcs_len(cand, ref) / len(ref)
-        if best is None or recall > best:
-            best = recall
-    if best is None:
-        raise ValueError("every reference is empty")
-    return best
+    return _best_recall([ref for ref in instance.references if ref],
+                        lambda ref: _lcs_len(cand, ref) / len(ref),
+                        "every reference is empty")
 
 
 def instance_score(instance, metric, byte_cap=None):
@@ -130,6 +125,7 @@ def evaluate_corpus(cand_path, ref_paths, metrics, byte_cap=None,
                     inputs_path=None):
     """Score a candidate file against reference file(s); returns the report
     as a plain dict. All files must have one aligned sentence per line."""
+    check_byte_cap(byte_cap)
     candidates = read_token_lines(cand_path)
     ref_files = [read_token_lines(p) for p in ref_paths]
     for path, refs in zip(ref_paths, ref_files):

@@ -26,7 +26,7 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss goes non-finite; carries where it happened."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     hyperparams: Hyperparams
     max_epochs: int
@@ -36,21 +36,16 @@ class TrainConfig:
     renorm_max_norm: float = 1.0
     patience: int = 1
 
-    def validate(self):
-        self.hyperparams.validate()
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
+    def __post_init__(self):
+        for field in ("max_epochs", "batch_size", "patience"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be positive")
         # 0 is allowed so a no-op run can still produce a history; the
         # comparisons are written so that NaN fails them
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
         if not self.renorm_max_norm > 0:
             raise ValueError("renorm_max_norm must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
-        return self
 
 
 @dataclass
@@ -127,7 +122,6 @@ def train(config, train_pairs, valid_pairs, epoch_callback=None):
     epoch_callback(epoch, params, record), when given, runs after each
     epoch (checkpoint hook).
     """
-    config.validate()
     if not train_pairs or not valid_pairs:
         raise ValueError("training and validation corpora must be nonempty")
     hyper = config.hyperparams

@@ -238,6 +238,7 @@ def _jump_walk_pairs(n_pairs, vocab_size, m, n_head, seed, p_jump):
     return pairs
 
 
+@pytest.mark.slow
 def test_criterion_6_encoder_quality_ordering():
     started = time.monotonic()
     train_pairs = _jump_walk_pairs(2000, 200, 14, 8, seed=7, p_jump=0.45)

@@ -495,17 +495,58 @@ def test_baseline_tokens_always_come_from_input(tmp_path, capsys):
         assert set(got.split()) <= set(src.split())
 
 
-@pytest.mark.parametrize("command", ["baseline", "eval"])
-@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["baseline", "eval", "decode", "trace",
+                                     "tune"])
+@pytest.mark.parametrize("cap", ["0", "-1", "-5"])
 def test_byte_cap_below_one_is_a_data_error(tmp_path, capsys, command, cap):
-    text = tmp_path / "text.txt"
-    text.write_text("Markets fall sharply in Asia today\n", encoding="utf-8")
-    args = (["baseline", "--input", str(text)] if command == "baseline" else
-            ["eval", "--cand", str(text), "--refs", str(text)])
-    assert main(args + ["--byte-cap", cap]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: byte cap must be at least 1")
+    # refused before any input is read, so an empty input changes nothing
+    mpath, vpath, *_ = save_toy_model(tmp_path)
+    model_args = ["--model", str(mpath), "--vocab", str(vpath), "--N", "2"]
+    out = tmp_path / "out.txt"
+    for content in ("Markets fall sharply in Asia today\n", ""):
+        text = tmp_path / "text.txt"
+        text.write_text(content, encoding="utf-8")
+        args = {"baseline": ["--input", str(text), "--out", str(out)],
+                "eval": ["--cand", str(text), "--refs", str(text)],
+                "decode": model_args + ["--input", str(text), "--out",
+                                        str(out)],
+                "trace": model_args + ["--input", str(text), "--out",
+                                       str(out)],
+                "tune": model_args + ["--dev", str(text), "--refs",
+                                      str(text), "--out", str(out)],
+                }[command]
+        assert main([command] + args + ["--byte-cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: byte cap must be at least 1, got {cap}\n"
+        assert not out.exists()
+
+
+GOOD_VOCAB = "<unk>\t0\n<s>\t0\n<pad>\t0\nalpha\t3\nbravo\t2\n"
+GOOD_PAIRS = "alpha\talpha bravo\n"
+
+
+@pytest.mark.parametrize("vocab_text, pairs_text, bad, message", [
+    (GOOD_VOCAB.replace("bravo\t2", "bravo\tx"), GOOD_PAIRS, "vocab",
+     "5: invalid literal for int() with base 10: 'x'"),
+    (GOOD_VOCAB + "\nalpha\t1\n", GOOD_PAIRS, "vocab",
+     "7: duplicate token 'alpha'"),
+    ("\n" + GOOD_VOCAB.replace("<s>", "<S>"), GOOD_PAIRS, "vocab",
+     "3: reserved symbols must occupy ids 0..2"),
+    (GOOD_VOCAB, GOOD_PAIRS + "\tfoo bar\n", "pairs",
+     "2: empty side in pair"),
+], ids=["count", "duplicate", "reserved", "empty side"])
+def test_tsv_refusal_names_file_and_line(tmp_path, capsys, vocab_text,
+                                         pairs_text, bad, message):
+    files = {"vocab": tmp_path / "vocab.tsv", "pairs": tmp_path / "pairs.tsv"}
+    files["vocab"].write_text(vocab_text, encoding="utf-8")
+    files["pairs"].write_text(pairs_text, encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert main(["train", "--pairs", str(files["pairs"]), "--vocab",
+                 str(files["vocab"]), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {files[bad]}:{message}\n"
+    assert not out_dir.exists()
 
 
 def test_describe_prints_header(tmp_path, capsys):

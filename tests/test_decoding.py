@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -211,7 +213,7 @@ def test_best_score_monotone_in_beam_width():
         config = DecodeConfig(length=4, beam=1)
         prev = -np.inf
         for k in (1, 2, 4, 8, 16):
-            config.beam = k
+            config = dataclasses.replace(config, beam=k)
             best = beam_search(scorer, config)[0].score
             assert best >= prev - 1e-12
             prev = best
@@ -273,10 +275,9 @@ def test_candidate_set_rules():
     cands = candidate_ids(scorer, config)
     assert 0 not in cands and 1 not in cands and 2 not in cands
     assert len(cands) == scorer.vocab_size - 3
-    config.forbid_unk = False
+    config = dataclasses.replace(config, forbid_unk=False)
     assert 0 in candidate_ids(scorer, config)
-    config.mode = "extractive"
-    config.forbid_unk = True
+    config = dataclasses.replace(config, mode="extractive", forbid_unk=True)
     assert set(candidate_ids(scorer, config).tolist()) == {int(t) for t in x}
 
 
@@ -330,11 +331,18 @@ def test_viterbi_cap_error():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="length"):
-        DecodeConfig(length=0, beam=1).validate()
+        DecodeConfig(length=0, beam=1)
     with pytest.raises(ValueError, match="beam"):
-        DecodeConfig(length=1, beam=0).validate()
+        DecodeConfig(length=1, beam=0)
     with pytest.raises(ValueError, match="mode"):
-        DecodeConfig(length=1, beam=1, mode="other").validate()
+        DecodeConfig(length=1, beam=1, mode="other")
+    for cap in (0, -1):
+        with pytest.raises(ValueError,
+                           match=f"^byte cap must be at least 1, got {cap}$"):
+            DecodeConfig(length=1, beam=1, byte_cap=cap)
+    config = DecodeConfig(length=1, byte_cap=1, forbid_unk=False)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.beam = 0
 
 
 def test_finalize_byte_cap():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -212,22 +213,39 @@ def test_single_pair_memorization():
 def test_config_validation():
     hyper = small_hyper()
     with pytest.raises(ValueError, match="max_epochs"):
-        TrainConfig(hyperparams=hyper, max_epochs=0).validate()
+        TrainConfig(hyperparams=hyper, max_epochs=0)
     with pytest.raises(ValueError, match="learning_rate"):
-        TrainConfig(hyperparams=hyper, max_epochs=1,
-                    learning_rate=-1).validate()
+        TrainConfig(hyperparams=hyper, max_epochs=1, learning_rate=-1)
     with pytest.raises(ValueError, match="batch_size"):
-        TrainConfig(hyperparams=hyper, max_epochs=1, batch_size=0).validate()
+        TrainConfig(hyperparams=hyper, max_epochs=1, batch_size=0)
+    with pytest.raises(ValueError, match="patience"):
+        TrainConfig(hyperparams=hyper, max_epochs=1, patience=0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(hyperparams=hyper, max_epochs=1,
-                        learning_rate=bad).validate()
+            TrainConfig(hyperparams=hyper, max_epochs=1, learning_rate=bad)
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="renorm_max_norm"):
             TrainConfig(hyperparams=hyper, max_epochs=1,
-                        renorm_max_norm=bad).validate()
+                        renorm_max_norm=bad)
         with pytest.raises(ValueError, match="max_norm"):
             renormalize_embeddings(init_params(hyper, 0), bad)
+    # the hyperparameters are checked when they are built
+    fields = dict(vocab_size=12, embed_dim=3, hidden_dim=4, context_size=2)
+    for name, bad, message in [
+            ("vocab_size", 0, "vocab_size must be positive"),
+            ("embed_dim", 0, "embed_dim must be positive"),
+            ("hidden_dim", 0, "hidden_dim must be positive"),
+            ("context_size", 0, "context_size must be positive"),
+            ("encoder", "lstm", "unknown encoder kind 'lstm'"),
+            ("conv_layers", 0, "conv_layers must be positive"),
+            ("window", -1, "window must be nonnegative")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Hyperparams(**{**fields, name: bad})
+    config = TrainConfig(hyperparams=hyper, max_epochs=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.max_epochs = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hyper.window = -1
 
 
 def test_token_count():
