@@ -61,12 +61,12 @@ def _decode_config(args):
 
 
 def _sentences(path):
-    """One token list per line of `path`; a line with no tokens is
-    refused."""
+    """One token list per line of `path`; a line with no tokens is refused
+    as '<path>:<line>: ...'."""
     sentences = read_token_lines(path)
     for k, tokens in enumerate(sentences, 1):
         if not tokens:
-            raise ValueError(f"{path}: line {k} is empty")
+            raise ValueError(f"{path}:{k}: empty line")
     return sentences
 
 

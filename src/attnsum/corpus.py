@@ -225,31 +225,39 @@ class Vocab:
         return cls(tokens, counts)
 
 
+@contextlib.contextmanager
+def text_file(path):
+    r"""A UTF-8 text file open for reading; its lines end at '\n', '\r\n' or
+    '\r', each read as '\n', and not at other Unicode line separators. Bytes
+    that are not UTF-8 are refused as '<path>: not UTF-8 text (...)'."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_lines(path):
-    r"""A UTF-8 text file's lines, each ended by '\n', '\r\n' or '\r'; other
-    Unicode line separators stay inside the line."""
-    with open(path, encoding="utf-8") as fh:
+    """A text file's lines, without their ends."""
+    with text_file(path) as fh:
         return [line.rstrip("\n") for line in fh]
 
 
 def _records(path, what, record):
-    """record(first, second) of each nonblank line of a UTF-8 two-column
-    TSV file, lazily. A line with another number of fields, or one that
-    record refuses with ValueError, is refused as '<path>:<line>: ...'."""
-    lineno = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                fields = line.rstrip("\n").split("\t")
+    """record(first, second) of each nonblank line of a two-column TSV
+    file, lazily. A line with another number of fields, or one that record
+    refuses with ValueError, is refused as '<path>:<line>: ...'."""
+    with text_file(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.rstrip("\n").split("\t")
+            try:
                 if len(fields) == 2:
                     yield record(fields[0], fields[1])
                 elif fields != [""]:
                     raise ValueError(f"expected '{what}', got "
                                      f"{len(fields)} fields")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def read_pairs(path):

@@ -700,64 +700,66 @@ def _read_header(fh):
 
 
 def _read_model(path, payloads):
-    """(format version, hyperparams, tensors) of a model file.
-
-    Every record is checked against the header: the file must hold each
-    tensor its hyperparams imply, once, with the implied shape, and end
-    right after the last payload. tensors maps each name to its array, or
-    to its shape when payloads is false; the payloads are then skipped.
-    """
-    with open(path, "rb") as fh:
-        version, hyper = _read_header(fh)
-        # the tensor count is checked before param_shapes builds one entry
-        # per conv layer, a raw u32 of the header
-        count = _read_u32(fh)
-        if count != _tensor_count(hyper):
-            raise ValueError("model file tensors do not match its hyperparams")
-        if count * _MIN_RECORD > _remaining(fh):
-            raise ValueError("truncated model file")
-        expected = param_shapes(hyper)
-        shapes, offsets = {}, {}
-        for _ in range(len(expected)):
-            name = _read_exact(fh, _read_u32(fh)).decode("utf-8")
-            if name not in expected or name in shapes:
+    """(format version, hyperparams, tensors) of a model file, checked against
+    its header: it holds each tensor the hyperparams imply, once, with the
+    implied shape, and ends with the last payload. tensors is a ParamStore of
+    the finite payloads, or maps each name to its shape when payloads is false.
+    A refusal reads '<path>: <reason>'."""
+    try:
+        with open(path, "rb") as fh:
+            version, hyper = _read_header(fh)
+            # the tensor count is checked before param_shapes builds one entry
+            # per conv layer, a raw u32 of the header
+            count = _read_u32(fh)
+            if count != _tensor_count(hyper):
                 raise ValueError("model file tensors do not match its "
                                  "hyperparams")
-            ndim = _read_u32(fh)
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            if shape != expected[name]:
-                raise ValueError(f"tensor {name} has shape {shape}, "
-                                 f"expected {expected[name]}")
-            nbytes = 8 * math.prod(shape)
-            if nbytes > _remaining(fh):
+            if count * _MIN_RECORD > _remaining(fh):
                 raise ValueError("truncated model file")
-            shapes[name], offsets[name] = shape, fh.tell()
-            fh.seek(nbytes, 1)
-        if _remaining(fh):
-            raise ValueError("trailing bytes after the last tensor")
-        if not payloads:
-            return version, hyper, shapes
-        # the payloads, checked to fit the file, are read in place into
-        # views of one buffer: one large allocation per load instead of one
-        # per tensor, which costs fewer page faults when a model is loaded
-        # again and again
-        flat = np.empty(sum(map(math.prod, shapes.values())), dtype="<f8")
-        tensors, pos = {}, 0
-        for name, shape in shapes.items():
-            tensors[name] = flat[pos:pos + math.prod(shape)].reshape(shape)
-            pos += math.prod(shape)
-            fh.seek(offsets[name])
-            if fh.readinto(tensors[name]) != tensors[name].nbytes:
-                raise ValueError("truncated model file")
-    return version, hyper, tensors
+            expected = param_shapes(hyper)
+            shapes, offsets = {}, {}
+            for _ in range(len(expected)):
+                name = _read_exact(fh, _read_u32(fh)).decode("utf-8")
+                if name not in expected or name in shapes:
+                    raise ValueError("model file tensors do not match its "
+                                     "hyperparams")
+                ndim = _read_u32(fh)
+                shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
+                if shape != expected[name]:
+                    raise ValueError(f"tensor {name} has shape {shape}, "
+                                     f"expected {expected[name]}")
+                nbytes = 8 * math.prod(shape)
+                if nbytes > _remaining(fh):
+                    raise ValueError("truncated model file")
+                shapes[name], offsets[name] = shape, fh.tell()
+                fh.seek(nbytes, 1)
+            if _remaining(fh):
+                raise ValueError("trailing bytes after the last tensor")
+            if not payloads:
+                return version, hyper, shapes
+            # the payloads, checked to fit the file, are read in place into
+            # views of one buffer: one large allocation per load instead of one
+            # per tensor, which costs fewer page faults when a model is loaded
+            # again and again
+            flat = np.empty(sum(map(math.prod, shapes.values())), dtype="<f8")
+            tensors, pos = {}, 0
+            for name, shape in shapes.items():
+                tensors[name] = flat[pos:pos + math.prod(shape)].reshape(shape)
+                pos += math.prod(shape)
+                fh.seek(offsets[name])
+                if fh.readinto(tensors[name]) != tensors[name].nbytes:
+                    raise ValueError("truncated model file")
+        params = ParamStore()
+        for name in expected:
+            params.register(name, tensors[name])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return version, hyper, params
 
 
 def load_model(path):
     """Read a saved model back: (ParamStore, Hyperparams)."""
-    _, hyper, tensors = _read_model(path, payloads=True)
-    params = ParamStore()
-    for name in param_shapes(hyper):
-        params.register(name, tensors[name])
+    _, hyper, params = _read_model(path, payloads=True)
     return params, hyper
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .corpus import atomic_open
+from .corpus import atomic_open, text_file
 from .decoding import beam_search
 from .rouge import EvalInstance, instance_score
 
@@ -97,13 +97,13 @@ class FeatureWeights:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"{path}: JSON nested too deeply") from None
+        """Weights from a JSON file; a refusal reads '<path>: <reason>'."""
+        with text_file(path) as fh:
+            text = fh.read()
         try:
-            return cls.from_dict(d)
+            return cls.from_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

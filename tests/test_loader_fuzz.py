@@ -1,8 +1,8 @@
 """Derandomized fuzz of the file loaders through the command line: every
 malformed vocabulary, pairs, weights or model file exits 2 with one
-`error:` line, never with an exception out of `main`, and a refusal of a
-vocabulary or pairs file starts with that file's path and names, if any
-line, one that the file holds.
+`error:` line, never with an exception out of `main`, and the refusal
+starts with that file's path and names, if any line, one that the file
+holds.
 
 Each case is malformed by construction (a bad count, a duplicate or
 misplaced token, a wrong field count, a byte that is not UTF-8, a
@@ -226,7 +226,7 @@ def test_fuzz_weights_file(toy, capsys):
     @hypothesis.given(bad_weights())
     def case(text):
         toy["bad"].write_text(text, encoding="utf-8")
-        _refused(capsys, decode)
+        _names(_refused(capsys, decode), toy["bad"], text.encode("utf-8"))
 
     case()
 
@@ -283,6 +283,6 @@ def test_fuzz_model_file(toy, capsys, command):
     @hypothesis.given(bad_model(toy["model"].read_bytes()))
     def case(data):
         toy["bad"].write_bytes(data)
-        _refused(capsys, argv[command])
+        _names(_refused(capsys, argv[command]), toy["bad"], data)
 
     case()

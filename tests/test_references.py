@@ -2,7 +2,7 @@
 the tests, and every parameter with a default is set by some caller, or
 each has a stated reason to stay without one. Every name that a module
 imports at module level is used by that module, unless the import is
-marked `# noqa: F401`.
+marked `# noqa: F401`. Only the functions named in OPENERS call `open`.
 
 A name counts as called when some module of `src/attnsum/` or of
 `perfbench/` (its own test module aside) mentions it as a name, an
@@ -40,6 +40,19 @@ UNSET = {
                                       "alias `search`",
     "numerics.finite_diff_grad.eps": "oracle: the central-difference step",
     "numerics.relative_grad_error.floor": "oracle: the error measure's floor",
+}
+
+# the functions that call `open`, each with the reason it may; every other
+# file is read or written through one of them
+OPENERS = {
+    "corpus.atomic_open": "the atomic writer of every output but the "
+                          "history",
+    "corpus.text_file": "the one opener of text files, which names a file "
+                        "that is not UTF-8",
+    "model._read_model": "the one reader of model files, which names the "
+                         "file in every refusal",
+    "cli.cmd_train": "history.jsonl, appended once per epoch, so not "
+                     "atomic",
 }
 
 
@@ -192,3 +205,32 @@ def unused_imports():
 
 def test_every_module_level_import_is_used():
     assert unused_imports() == []
+
+
+def openers():
+    """module[.class].function of every function that calls `open` or an
+    `open` attribute, such as `os.open`; a nested function counts as its
+    enclosing one."""
+    found = set()
+
+    def visit(node, where, in_function):
+        for child in ast.iter_child_nodes(node):
+            inner, function = where, in_function
+            if isinstance(child, ast.Call) and "open" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.add(where)
+            elif not in_function and isinstance(child, ast.ClassDef):
+                inner = f"{where}.{child.name}"
+            elif not in_function and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner, function = f"{where}.{child.name}", True
+            visit(child, inner, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(parse(path), path.stem, False)
+    return found
+
+
+def test_only_the_named_functions_open_files():
+    assert openers() == set(OPENERS)
