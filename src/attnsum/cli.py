@@ -24,7 +24,7 @@ from .model import (ENCODERS, Hyperparams, Scorer, attention_trace,
 from .rouge import (METRICS, evaluate_corpus, format_report, read_token_lines,
                     report_json)
 from .training import TrainConfig, TrainingDiverged, train
-from .tuning import FeatureWeights, TunedScorer, dev_score, mert_tune
+from .tuning import FeatureWeights, TunedScorer, mert_tune
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,11 +93,20 @@ def cmd_preprocess(args):
     print(f"vocab {len(vocab)}")
 
 
+def _training_pairs(path, vocab):
+    """The encoded pairs of a tokenized pairs file; a file with none is
+    refused as '<path>: holds no pairs'."""
+    pairs = encode_pairs(read_token_pairs(path), vocab)
+    if not pairs:
+        raise ValueError(f"{path}: holds no pairs")
+    return pairs
+
+
 def cmd_train(args):
     vocab = Vocab.load(args.vocab)
-    pairs = encode_pairs(read_token_pairs(args.pairs), vocab)
+    pairs = _training_pairs(args.pairs, vocab)
     if args.valid is not None:
-        valid = encode_pairs(read_token_pairs(args.valid), vocab)
+        valid = _training_pairs(args.valid, vocab)
     else:
         # deterministic tail holdout; tiny corpora validate on themselves
         n_valid = max(1, len(pairs) // 10)
@@ -105,8 +114,9 @@ def cmd_train(args):
             valid, pairs = pairs[-n_valid:], pairs[:-n_valid]
         else:
             valid = pairs
-    # both configs check their fields as they are built, before the output
-    # directory is touched, so a rejected run leaves an earlier run's files
+    # the corpora are nonempty and both configs check their fields as they
+    # are built, before the output directory is touched, so a rejected run
+    # leaves an earlier run's files
     hyper = Hyperparams(vocab_size=len(vocab), embed_dim=args.embed_dim,
                         hidden_dim=args.hidden_dim,
                         context_size=args.context_size,
@@ -180,26 +190,21 @@ def cmd_tune(args):
     config = _decode_config(args)
     params, hyper, vocab = _load_model_and_vocab(args)
     inputs = _sentences(args.dev)
+    if not inputs:
+        raise ValueError(f"{args.dev}: dev set is empty")
     refs = _sentences(args.refs)
     require_aligned(args.refs, refs, len(inputs))
     dev = [(vocab.encode(tokens), [ref]) for tokens, ref in zip(inputs, refs)]
-    before = dev_score(params, hyper, vocab, dev, FeatureWeights.identity(),
-                       config, args.metric)
     weights = mert_tune(params, hyper, vocab, dev, config,
                         metric=args.metric, seed=args.seed)
-    after = dev_score(params, hyper, vocab, dev, weights, config,
-                      args.metric)
     weights.save(args.out)
-    print(f"dev {args.metric} identity {before:.6f} tuned {after:.6f}")
+    print(f"dev {args.metric} identity {weights.before:.6f} "
+          f"tuned {weights.after:.6f}")
 
 
 def cmd_eval(args):
-    metrics = args.metrics.split(",")
-    for metric in metrics:
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}; "
-                             f"choose from {METRICS}")
-    report = evaluate_corpus(args.cand, args.refs.split(","), metrics,
+    report = evaluate_corpus(args.cand, args.refs.split(","),
+                             args.metrics.split(","),
                              byte_cap=args.byte_cap,
                              inputs_path=args.inputs)
     print(format_report(report))

@@ -94,12 +94,21 @@ def instance_score(instance, metric, byte_cap=None):
     raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
 
 
-def corpus_score(instances, metric, byte_cap=None):
-    """Mean instance score; the corpus metric optimized by weight tuning."""
+def corpus_score(instances, metric, byte_cap=None, refs_name=None):
+    """Mean instance score; the corpus metric optimized by weight tuning.
+    With refs_name, the refusal of the k-th instance (from 1) reads
+    '<refs_name>:<k>: <reason>'."""
     if not instances:
         raise ValueError("no instances to score")
-    return sum(instance_score(inst, metric, byte_cap)
-               for inst in instances) / len(instances)
+    total = 0
+    for k, inst in enumerate(instances, 1):
+        try:
+            total += instance_score(inst, metric, byte_cap)
+        except ValueError as exc:
+            if refs_name is None:
+                raise
+            raise ValueError(f"{refs_name}:{k}: {exc}") from None
+    return total / len(instances)
 
 
 def extractive_pct(candidates, inputs, byte_cap=None):
@@ -124,9 +133,17 @@ def read_token_lines(path):
 def evaluate_corpus(cand_path, ref_paths, metrics, byte_cap=None,
                     inputs_path=None):
     """Score a candidate file against reference file(s); returns the report
-    as a plain dict. All files must have one aligned sentence per line."""
+    as a plain dict. All files must have one aligned sentence per line. A
+    line whose references all refuse a metric is refused as
+    '<ref paths, comma-joined>:<line>: <reason>'."""
+    for metric in metrics:
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; "
+                             f"choose from {METRICS}")
     check_byte_cap(byte_cap)
     candidates = read_token_lines(cand_path)
+    if not candidates:
+        raise ValueError(f"{cand_path}: no instances to score")
     ref_files = [read_token_lines(p) for p in ref_paths]
     for path, refs in zip(ref_paths, ref_files):
         require_aligned(path, refs, len(candidates))
@@ -134,8 +151,9 @@ def evaluate_corpus(cand_path, ref_paths, metrics, byte_cap=None,
                               references=[refs[i] for refs in ref_files])
                  for i, cand in enumerate(candidates)]
     report = {"instances": len(instances), "byte_cap": byte_cap}
+    refs_name = ",".join(map(str, ref_paths))
     for metric in metrics:
-        report[metric] = corpus_score(instances, metric, byte_cap)
+        report[metric] = corpus_score(instances, metric, byte_cap, refs_name)
     if inputs_path is not None:
         inputs = read_token_lines(inputs_path)
         require_aligned(inputs_path, inputs, len(candidates))

@@ -26,6 +26,11 @@ and whose entries feed the next line search. A move is only accepted when
 the trial weights' own decode strictly improves the true metric, so the
 tuner never returns weights worse than its initialization.
 
+The tuner also returns the dev metric it measured at the identity weights
+and at the weights it returns, so reporting them costs no decode.
+`dev_score`, a fresh decode of the dev set under given weights, is the
+oracle those two numbers are held to.
+
 The K-best feature sums come from the sentence's own TunedScorer.
 `sequence_features` and the scalar `features` recompute them from scratch;
 they are the oracles the tests hold the tuner to, bit for bit.
@@ -106,6 +111,15 @@ class FeatureWeights:
             raise ValueError(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+@dataclass
+class TunedWeights(FeatureWeights):
+    """Weights that mert_tune returned, with the dev metric it measured at
+    the identity weights (`before`) and at these weights (`after`); the
+    weights file holds only alpha."""
+    before: float = 0.0
+    after: float = 0.0
 
 
 def features(y_next, x, y_c, logp):
@@ -251,7 +265,8 @@ def _dev_metric(decoded, vocab, config, metric):
 
 def dev_score(params, hyper, vocab, dev, weights, config, metric):
     """True corpus metric of the tuned decoder on (input ids, references)
-    dev pairs; this is the quantity mert_tune maximizes."""
+    dev pairs; this is the quantity mert_tune maximizes. It decodes the dev
+    set afresh: the oracle that mert_tune's `before` and `after` equal."""
     return _dev_metric(_decode_dev(params, hyper, dev, weights, config),
                        vocab, config, metric)
 
@@ -358,11 +373,13 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
     strictly improves the true metric, and then that same decode gives the
     lists for the next direction. Each distinct weight vector is decoded
     once. The search starts from the identity weights, and the weights
-    returned never have a lower dev metric than those."""
+    returned never have a lower dev metric than those. Returns TunedWeights:
+    the weights, with the dev metric of the identity decode as `before` and
+    that of the returned weights' decode as `after`."""
     dev = list(dev)
     weights = FeatureWeights.identity()
     decoded = _decode_dev(params, hyper, dev, weights, config)
-    current = _dev_metric(decoded, vocab, config, metric)
+    before = current = _dev_metric(decoded, vocab, config, metric)
     lists = _kbest_lists(params, hyper, vocab, decoded, config, metric)
     rng = np.random.default_rng(seed)
     axes = [np.eye(N_FEATURES)[i] for i in range(N_FEATURES)]
@@ -384,4 +401,4 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
                 improved = True
         if not improved:
             break
-    return weights
+    return TunedWeights(weights.alpha, before=before, after=current)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import attnsum
-from attnsum import model
+from attnsum import model, tuning
 from attnsum.cli import _build_parser, main
 from attnsum.corpus import Vocab
 from attnsum.decoding import DecodeConfig, beam_search, finalize
@@ -719,8 +719,11 @@ NOT_UTF8 = "not UTF-8 text (invalid start byte)"
      "double quotes: line 1 column 2 (char 1)"),
     ("decode", "--weights", b"{\xff}", NOT_UTF8),
     ("decode", "--model", None, "non-finite values in tensor"),
+    ("tune", "--dev", b"", "dev set is empty"),
+    ("eval", "--cand", b"", "no instances to score"),
 ], ids=["decode input", "tune dev", "baseline input", "eval inputs",
-        "weights not json", "weights not utf-8", "model nan"])
+        "weights not json", "weights not utf-8", "model nan",
+        "tune dev empty", "eval cand empty"])
 def test_refusal_names_the_bad_file(tmp_path, capsys, command, flag, data,
                                     reason):
     # every other file the command reads is good
@@ -756,8 +759,80 @@ def test_tune_empty_dev_set_is_a_data_error(tmp_path, capsys):
     assert main(["tune", "--model", str(mpath), "--vocab", str(vpath),
                  "--dev", str(empty), "--refs", str(empty), "--N", "3",
                  "--out", str(wpath)]) == 2
-    assert capsys.readouterr().err == "error: dev set is empty\n"
+    assert capsys.readouterr().err == f"error: {empty}: dev set is empty\n"
     assert not wpath.exists()
+
+
+def test_tune_decodes_each_weight_vector_once(tmp_path, capsys,
+                                              monkeypatch):
+    search, line_search = tuning.beam_search, tuning._line_search
+    calls = collections.Counter()
+
+    def counting_search(scorer, config):
+        calls["decodes"] += 1
+        return search(scorer, config)
+
+    def counting_line_search(lists, alpha, direction):
+        gamma, obj = line_search(lists, alpha, direction)
+        calls["moves"] += gamma != 0.0
+        return gamma, obj
+
+    monkeypatch.setattr(tuning, "beam_search", counting_search)
+    monkeypatch.setattr(tuning, "_line_search", counting_line_search)
+    mpath, vpath = biased_model_files(tmp_path)
+    dev = tmp_path / "dev.txt"
+    refs = tmp_path / "refs.txt"
+    dev.write_text("a b c\nc a b d\nb d\n", encoding="utf-8")
+    refs.write_text("a b c\nc a\nb d\n", encoding="utf-8")
+    assert main(["tune", "--model", str(mpath), "--vocab", str(vpath),
+                 "--dev", str(dev), "--refs", str(refs), "--N", "3",
+                 "--out", str(tmp_path / "w.json")]) == 0
+    capsys.readouterr()
+    assert calls["moves"] > 0
+    assert calls["decodes"] == 3 * (1 + calls["moves"])
+
+
+@pytest.mark.parametrize("valid", [False, True])
+def test_train_on_no_pairs_keeps_the_earlier_run(tmp_path, capsys, valid):
+    _, vpath, *_ = save_toy_model(tmp_path)
+    good = tmp_path / "good.tsv"
+    good.write_text("alpha bravo\talpha bravo carol\n", encoding="utf-8")
+    blank = tmp_path / "blank.tsv"
+    blank.write_text("\n\n", encoding="utf-8")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "history.jsonl").write_text('{"epoch": 1}\n', encoding="utf-8")
+    argv = ["train", "--vocab", str(vpath), "--out-dir", str(out),
+            "--embed-dim", "2", "--hidden-dim", "2", "--epochs", "1"]
+    argv += (["--pairs", str(good), "--valid", str(blank)] if valid
+             else ["--pairs", str(blank)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {blank}: holds no pairs\n"
+    assert (out / "history.jsonl").read_text(encoding="utf-8") == \
+        '{"epoch": 1}\n'
+    assert list(out.glob("*.model")) == []
+
+
+@pytest.mark.parametrize("refs, metrics, reason", [
+    (["a b\n\n"], "rouge1", "every reference is shorter than n=1"),
+    (["a b\n\n"], "rougeL", "every reference is empty"),
+    (["a b\nc\n"], "rouge1,rouge2", "every reference is shorter than n=2"),
+    (["a b\nc\n", "a\n\n"], "rouge2",
+     "every reference is shorter than n=2"),
+], ids=["blank ref", "blank ref rougeL", "one-token ref", "two refs files"])
+def test_eval_refusal_names_refs_and_line(tmp_path, capsys, refs, metrics,
+                                          reason):
+    cand = tmp_path / "cand.txt"
+    cand.write_text("a b\nc\n", encoding="utf-8")
+    paths = []
+    for k, text in enumerate(refs):
+        paths.append(tmp_path / f"refs{k}.txt")
+        paths[-1].write_text(text, encoding="utf-8")
+    # several files are named as given, comma-joined
+    refs_flag = ",".join(map(str, paths))
+    assert main(["eval", "--cand", str(cand), "--refs", refs_flag,
+                 "--metrics", metrics]) == 2
+    assert capsys.readouterr().err == f"error: {refs_flag}:2: {reason}\n"
 
 
 def test_tune_rejects_misaligned_refs(tmp_path, capsys):

@@ -558,3 +558,22 @@ def test_mert_decodes_each_weight_vector_once(monkeypatch):
     mert_tune(params, hyper, vocab, dev, config, seed=1, max_rounds=3)
     assert 0 < calls["moves"] < calls["directions"]
     assert calls["decodes"] == len(dev) * (1 + calls["moves"])
+
+
+def test_mert_reports_the_dev_scores_it_measured():
+    vocab = letter_vocab()
+    cases = [biased_fixture()]
+    for seed in range(3):
+        params, hyper, dev = bow_dev(seed, vocab)
+        cases.append((params, hyper, vocab, dev,
+                      DecodeConfig(length=3, beam=4)))
+    params, hyper, dev, config = ragged_dev(vocab)
+    cases.append((params, hyper, vocab, dev, config))
+    for params, hyper, vocab, dev, config in cases:
+        got = mert_tune(params, hyper, vocab, dev, config, seed=1,
+                        max_rounds=2)
+        assert got.before == dev_score(params, hyper, vocab, dev,
+                                       FeatureWeights.identity(), config,
+                                       "rouge1")
+        assert got.after == dev_score(params, hyper, vocab, dev, got,
+                                      config, "rouge1")
