@@ -16,6 +16,7 @@ token sequences, are distinct: the order is total, and the decoded output
 depends on the scores alone. A NaN score ranks below every number.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ VITERBI_STATE_CAP = 10 ** 6
 MODES = ("abstractive", "extractive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     """A complete or partial summary: its tokens, accumulated score, and the
     last C tokens (start-padded) that determine every future score."""
@@ -79,41 +80,54 @@ def _initial(context_size):
 
 
 def _ranked(flat, beam, cands, want):
-    """Indices into the flattened (hypothesis, candidate) score matrix, in
-    the decoder's total order: descending score, exact ties by the token
-    sequence beam[k].tokens + (token,) ascending.
+    """Indices into the flattened (hypothesis, candidate) score matrix flat
+    (K, |S|), in the decoder's total order: descending score, exact ties by
+    the token sequence beam[k].tokens + (token,) ascending.
 
     Lazy: the first slice holds the `want` best scores and every score tied
-    with the want-th, found by partial selection, and only that slice is
-    sorted. When recombination uses it up, the cut doubles and the next
-    slice holds only the scores below the previous cut. Parents are
-    distinct sequences of one length, so the tie key compares parents in
-    lexicographic order first, then token ids.
+    with the want-th, and only that slice is sorted. When recombination uses
+    it up, the cut doubles and the next slice holds only the scores below
+    the previous cut. Parents are distinct sequences of one length, so the
+    tie key compares parents in lexicographic order first, then token ids.
+
+    The cut-th best score comes from partial selection. When the beam has
+    at least `cut` rows and no score is NaN, the rows' maxima are `cut`
+    scores at or above the smallest of them, so the cut-th best score is
+    too, and only the scores at or above that smallest row maximum are
+    partitioned.
     """
-    n_c = len(cands)
-    parent_rank = np.empty(len(beam), dtype=np.int64)
-    parent_rank[sorted(range(len(beam)), key=lambda k: beam[k].tokens)] = \
-        np.arange(len(beam))
-    work = -flat  # partitioned in place, NaN last, as the cut widens
+    n_k, n_c = flat.shape
+    parent_rank = np.empty(n_k, dtype=np.int64)
+    parent_rank[sorted(range(n_k), key=lambda k: beam[k].tokens)] = \
+        np.arange(n_k)
+    # NaN when any score is NaN. A beam holds at most `want` rows, so only
+    # the first cut can use it.
+    low = flat.max(axis=1).min() if n_k >= want else math.nan
+    flat = flat.ravel()
     prev = None
     cut = want
     while True:
-        if cut < flat.size:
+        # the indices partitioned for the bound: None for all of them
+        pool = None if math.isnan(low) else (flat >= low).nonzero()[0]
+        vals = flat if pool is None else flat[pool]
+        if cut <= vals.size:
+            work = -vals  # NaN last
             work.partition(cut - 1)
             bound = -work[cut - 1]  # the cut-th best score
         else:
-            bound = np.nan
-        last = np.isnan(bound)  # the cut reaches past the last number
-        mask = np.ones(flat.size, dtype=bool) if last else flat >= bound
+            bound = math.nan
+        last = math.isnan(bound)  # the cut reaches past the last number
+        mask = np.ones(vals.size, dtype=bool) if last else vals >= bound
         if prev is not None:
-            mask &= ~(flat >= prev)
-        idx = np.flatnonzero(mask)
+            mask &= ~(vals >= prev)
+        idx = mask.nonzero()[0] if pool is None else pool[mask]
         order = np.lexsort((cands[idx % n_c], parent_rank[idx // n_c],
                             -flat[idx]))
         yield from idx[order].tolist()
         if last:
             return
         prev = bound
+        low = math.nan
         cut *= 2
 
 
@@ -125,24 +139,27 @@ def beam_search(scorer, config, step_hook=None):
     final hypotheses ranked best-first (fewer than K when the context space
     is exhausted). step_hook(step, beam) observes each step's survivors."""
     cands = candidate_ids(scorer, config)
+    ids = cands.tolist()
+    # a run of ids (the abstractive default) is read as a slice, not gathered
+    run = ids[-1] + 1 - ids[0] == len(ids)
+    cols = slice(ids[0], ids[-1] + 1) if run else cands
     beam = [_initial(scorer.context_size)]
     for step in range(config.length):
         ctx = np.array([h.context for h in beam], dtype=np.int64)
-        flat = scorer.step_scores(ctx)[:, cands]
-        flat += np.array([h.score for h in beam])[:, None]
-        flat = flat.ravel()
+        flat = np.add(scorer.step_scores(ctx)[:, cols],
+                      np.array([h.score for h in beam])[:, None])
         seen = set()
         next_beam = []
         for idx in _ranked(flat, beam, cands, config.beam):
-            k, ci = divmod(idx, len(cands))
+            k, ci = divmod(idx, len(ids))
             parent = beam[k]
-            token = int(cands[ci])
+            token = ids[ci]
             context = parent.context[1:] + (token,)
             if context in seen:
                 continue
             seen.add(context)
             next_beam.append(Hypothesis(tokens=parent.tokens + (token,),
-                                        score=float(flat[idx]),
+                                        score=float(flat[k, ci]),
                                         context=context))
             if len(next_beam) == config.beam:
                 break

@@ -494,7 +494,8 @@ def backward(params, hyper, batch):
     nll = float(-cache["logp"][steps, batch.target].sum())
     grad = params.grad
 
-    dlogits = np.exp(cache["logp"])  # softmax probabilities
+    # softmax probabilities, in logp's buffer: logp is not read again
+    dlogits = np.exp(cache["logp"], out=cache["logp"])
     dlogits[steps, batch.target] -= 1.0
     h = cache["h"]
     dbias = dlogits.sum(axis=0)
@@ -625,7 +626,8 @@ class Scorer:
                       [len(contexts)])
 
     def step_scores(self, contexts):
-        """Log p(next | context, x) for contexts (K, C): shape (K, V)."""
+        """Log p(next | context, x) for contexts (K, C): shape (K, V), a new
+        array that the caller owns."""
         return log_softmax_rows(self._encode(contexts)[0])
 
     def attention(self, contexts):

@@ -2,9 +2,12 @@
 
 Tensors are plain numpy float64 C-order arrays. Everything here is
 deterministic: reductions follow numpy's fixed order, so repeated runs on one
-machine are bit-identical. The central-difference gradient oracle
-(`finite_diff_grad`) is deliberately written as scalar loops so it shares no
-code path with the vectorized analytic backward passes it is used to check.
+machine are bit-identical. `log_softmax_rows` works in place, in the buffer
+of the logits it is given: the same IEEE operations in the same order as the
+out-of-place formula, so the same bits. The central-difference gradient
+oracle (`finite_diff_grad`) is deliberately written as scalar loops so it
+shares no code path with the vectorized analytic backward passes it is used
+to check.
 """
 
 import numpy as np
@@ -28,10 +31,11 @@ def softmax_rows(m):
 
 
 def log_softmax_rows(m):
-    """Row-wise log-softmax: m - max - log(sum(exp(m - max)))."""
-    m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax of the float64 (rows, cols) array m, computed in
+    m's own buffer: m - max - log(sum(exp(m - max))). Returns m."""
+    m -= m.max(axis=1, keepdims=True)
+    m -= np.log(np.exp(m).sum(axis=1, keepdims=True))
+    return m
 
 
 class ParamStore:

@@ -206,10 +206,10 @@ class TunedScorer:
 
     def step_scores(self, contexts):
         contexts = np.asarray(contexts, dtype=np.int64)
-        logp = self._base.step_scores(contexts)
+        out = self._base.step_scores(contexts)  # new log-probs, ours to scale
         big, tri, reorder = self._indicators(contexts)
         a = self.weights.alpha
-        out = a[0] * logp
+        out *= a[0]
         # a0 * f0 + a1 * f1 + ... added left to right, with f1 = 1
         out[:, self.x] = (out[:, self.x] + a[1] + a[2] * big + a[3] * tri
                           + a[4] * reorder)

@@ -195,6 +195,138 @@ def test_beam_matches_fully_sorted_oracle(mode):
     assert used_up_first_cut and wider_than_expansions
 
 
+def test_beam_matches_oracle_when_row_maxima_tie_at_the_cut():
+    """The steps where the beam is full, so that the cut is bounded by the
+    smallest row maximum, with that maximum tied across rows: one score
+    level puts every row maximum at one value, and a few levels tie some
+    of them."""
+    tied = 0
+    case = 0
+    for vocab in (8, 20, 60):
+        for levels in (1, 2, 3):
+            for beam in (2, 3, 8):
+                for mode in ("abstractive", "extractive"):
+                    case += 1
+                    x = np.random.default_rng(case).integers(3, vocab, 8)
+                    scorer = LevelScorer(vocab, 2, levels, case, x,
+                                         context_free=levels == 1)
+                    config = DecodeConfig(length=4, beam=beam, mode=mode)
+                    cands = candidate_ids(scorer, config)
+                    got, parents = [], [_initial_beam(scorer)]
+                    beam_search(scorer, config, step_hook=lambda s, b: (
+                        got.append([(h.tokens, h.score, h.context)
+                                    for h in b]),
+                        parents.append(b)))
+                    assert got == sorted_beam(scorer, config)[0], case
+                    for prev in parents[:-1]:
+                        if len(prev) < beam:
+                            continue
+                        rows = scorer.step_scores(
+                            np.array([h.context for h in prev]))[:, cands]
+                        tops = sorted((rows.max(axis=1) + [
+                            h.score for h in prev]).tolist(), reverse=True)
+                        tied += tops.count(tops[beam - 1]) > 1
+    assert tied
+
+
+def _initial_beam(scorer):
+    return [Hypothesis(tokens=(), score=0.0,
+                       context=(START_ID,) * scorer.context_size)]
+
+
+class NaNScorer(LevelScorer):
+    """LevelScorer's scores with NaN in place of some: for some contexts
+    every score, for others each row's best scores (where the cut falls),
+    and in either case a share of the others at random."""
+
+    def __init__(self, vocab, context, seed, x, share):
+        super().__init__(vocab, context, 4, seed, x, context_free=False)
+        self.share = share
+
+    def step_scores(self, contexts):
+        rows = super().step_scores(contexts)
+        for row, ctx in zip(rows, np.asarray(contexts)):
+            rng = np.random.default_rng([self.seed, 7] + ctx.tolist())
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                row[:] = np.nan
+            elif kind == 1:
+                row[row == row.max()] = np.nan
+            row[rng.random(row.size) < self.share] = np.nan
+        return rows
+
+
+def nan_last_beam(scorer, config):
+    """Beam search by brute force, NaN scores ranked below every number:
+    each step sorts all expansions by (NaN, -score, token sequence) and
+    keeps the first `beam` with distinct contexts."""
+    if config.mode == "extractive":
+        pool = sorted(set(scorer.x.tolist()))
+    else:
+        pool = range(scorer.vocab_size)
+    banned = {START_ID, PAD_ID} | ({UNK_ID} if config.forbid_unk else set())
+    cands = [t for t in pool if t not in banned]
+    beam = [((), 0.0, (START_ID,) * scorer.context_size)]
+    steps = []
+    for _ in range(config.length):
+        rows = scorer.step_scores(np.array([h[2] for h in beam]))
+        expansions = []
+        for k, (tokens, score, ctx) in enumerate(beam):
+            for t in cands:
+                s = score + float(rows[k][t])
+                nan = s != s
+                expansions.append(((nan, 0.0 if nan else -s, tokens + (t,)),
+                                   s, ctx[1:] + (t,)))
+        expansions.sort(key=lambda e: e[0])
+        seen, kept = set(), []
+        for (_, _, tokens), s, ctx in expansions:
+            if ctx in seen:
+                continue
+            seen.add(ctx)
+            kept.append((tokens, s, ctx))
+            if len(kept) == config.beam:
+                break
+        beam = kept
+        steps.append([(t, s.hex(), c) for t, s, c in kept])
+    return steps
+
+
+def test_nan_scores_rank_below_every_number():
+    """Every finite expansion is kept ahead of a NaN one, whether the NaN
+    sits among a row's best scores or below the cut; when the finite ones
+    run out, NaN-scored hypotheses fill the beam, in token order."""
+    ran_out = row_bound_with_nan = 0
+    case = 0
+    for vocab in (8, 20, 60):
+        for context in (1, 2):
+            for beam in (1, 3, 8):
+                for share in (0.3, 0.9):
+                    for mode in ("abstractive", "extractive"):
+                        case += 1
+                        x = np.random.default_rng(case).integers(0, vocab, 9)
+                        scorer = NaNScorer(vocab, context, case, x, share)
+                        config = DecodeConfig(length=4, beam=beam,
+                                              mode=mode)
+                        try:
+                            candidate_ids(scorer, config)
+                        except ValueError:
+                            continue  # the input holds only reserved ids
+                        got, parents = [], [_initial_beam(scorer)]
+                        beam_search(scorer, config, step_hook=lambda s, b: (
+                            got.append([(h.tokens, h.score.hex(), h.context)
+                                        for h in b]),
+                            parents.append(b)))
+                        assert got == nan_last_beam(scorer, config), case
+                        for prev, kept in zip(parents, parents[1:]):
+                            nan = [h.score != h.score for h in kept]
+                            assert nan == sorted(nan)
+                            ran_out += 0 < sum(nan) and len(kept) == beam
+                            row_bound_with_nan += len(prev) >= beam and any(
+                                np.isnan(scorer.step_scores(np.array(
+                                    [h.context for h in prev]))).ravel())
+    assert ran_out and row_bound_with_nan
+
+
 def test_beam_k1_equals_greedy():
     for encoder in ("none", "bow", "conv", "attention"):
         for seed in range(5):

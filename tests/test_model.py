@@ -577,6 +577,72 @@ def test_scatter_columns_matches_add_at_bit_for_bit():
         assert same_bits(got, want)
 
 
+def out_of_place_log_softmax(m):
+    """The log-softmax formula written out of place, with its own buffers:
+    the in-place form must give its bits."""
+    shifted = m - m.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("k, vocab", [(1, 5000), (8, 5000), (8, 20000),
+                                      (128, 200)])
+def test_step_scores_match_out_of_place_log_softmax(k, vocab):
+    hyper = Hyperparams(vocab_size=vocab, embed_dim=6, hidden_dim=10,
+                        context_size=3, encoder="attention", window=1)
+    params = init_params(hyper, k)
+    rng = np.random.default_rng(vocab + k)
+    x = rng.integers(3, vocab, size=9)
+    contexts = rng.integers(0, vocab, size=(k, 3))
+    for scale in (1.0, 30.0):  # logits near 0, and spread over tens
+        for name in params.names():
+            params[name] = scale * params[name]
+        logits, _ = model.encode(
+            params, hyper, model.precompute(params, hyper, x[None, :]),
+            contexts, [k])
+        got = Scorer(params, hyper, x).step_scores(contexts)
+        assert same_bits(got, out_of_place_log_softmax(logits))
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_forward_logp_matches_out_of_place_log_softmax(encoder):
+    hyper = tiny_hyper(encoder)
+    params = init_params(hyper, 21)
+    rng = np.random.default_rng(21)
+    batch = make_batch(random_pairs(hyper, rng, n_pairs=3), hyper)
+    logits, _ = model.encode(
+        params, hyper, model.precompute(params, hyper, batch.x), batch.ctx,
+        batch.lengths.tolist())
+    assert same_bits(model.forward(params, hyper, batch)["logp"],
+                     out_of_place_log_softmax(logits))
+
+
+@pytest.mark.parametrize("encoder", ["bow", "attention"])
+def test_backward_holds_two_logit_arrays(encoder):
+    """A V=20k backward pass peaks at the logits plus one array of their
+    shape: the exp in the log-softmax, or attention's encoder share of the
+    logits. The log-probs are normalised in the logits' buffer and dlogits
+    is computed in theirs."""
+    import tracemalloc
+    hyper = Hyperparams(vocab_size=20000, embed_dim=4, hidden_dim=6,
+                        context_size=2, encoder=encoder, window=1)
+    params = init_params(hyper, 5)
+    rng = np.random.default_rng(5)
+    batch = make_batch([(rng.integers(3, 20000, size=9),
+                         rng.integers(3, 20000, size=10))
+                        for _ in range(16)], hyper)
+    backward(params, hyper, batch)  # allocates the gradients
+    logit_bytes = 8 * len(batch.target) * hyper.vocab_size  # 25.6 MB
+    tracemalloc.start()
+    try:
+        backward(params, hyper, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack for the smaller arrays: bow's (P, V) encoder logits and their
+    # gradient (2.56 MB each), (V, H) gradient temporaries (0.96 MB each)
+    assert peak < 2 * logit_bytes + (4 << 20)
+
+
 def reference_batch(pairs, context_size):
     return StepBatch(
         x=np.array([x for x, _ in pairs], dtype=np.int64),
