@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and nonnegative")
         if not self.renorm_max_norm > 0:
             raise ValueError("renorm_max_norm must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

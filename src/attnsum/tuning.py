@@ -22,18 +22,20 @@ corpus metric (a mean of per-sentence scores) can be evaluated exactly on
 every linear region. Each distinct weight vector is decoded once: that
 pass over the dev set gives its K-best lists (per hypothesis, the feature
 sums and the instance metric), whose top entries give the true dev metric
-and whose entries feed the next line search. A move is only accepted when
-the trial weights' own decode strictly improves the true metric, so the
-tuner never returns weights worse than its initialization.
+and whose entries feed the next line search. The decode carries the sums
+along the beam from the rows the TunedScorer computed at each step, so the
+lists hold the features the decoder ranked by, as Och's line search
+assumes. A move is only accepted when the trial weights' own decode
+strictly improves the true metric, so the tuner never returns weights worse
+than its initialization.
 
 The tuner also returns the dev metric it measured at the identity weights
 and at the weights it returns, so reporting them costs no decode.
 `dev_score`, a fresh decode of the dev set under given weights, is the
-oracle those two numbers are held to.
-
-The K-best feature sums come from the sentence's own TunedScorer.
-`sequence_features` and the scalar `features` recompute them from scratch;
-they are the oracles the tests hold the tuner to, bit for bit.
+oracle those two numbers are held to. The scalar `features` over each
+step's context block, scored afresh, is the oracle the carried sums are
+held to, bit for bit; `sequence_features` scores a candidate's N steps in
+one block instead.
 """
 
 import json
@@ -162,26 +164,21 @@ def tuned_score(y, x, weights, params, hyper):
 
 class TunedScorer:
     """Drop-in per-step scorer for the decoders: returns alpha-weighted
-    feature scores instead of log-probabilities. Its state and indicator
-    work scale with the input length M, not the vocabulary: a score is
-    a0 * logp, plus the indicator terms on the columns of x."""
+    feature scores instead of log-probabilities. A score is a0 * logp, plus
+    the indicator terms on the columns of x; their work scales with the
+    input length M, not the vocabulary. `logp` (K, V) and `indicators`
+    (3, K, M) hold the last step's unscaled features until the next step."""
 
     def __init__(self, base, weights):
         self._base = base
         self.weights = weights
+        self.vocab_size = base.vocab_size
+        self.context_size = base.context_size
         self.x = np.asarray(base.x, dtype=np.int64)
         _, first, pos_type = np.unique(self.x, return_index=True,
                                        return_inverse=True)
         # the position of the first occurrence of each x[j]
         self._first = first[pos_type]
-
-    @property
-    def vocab_size(self):
-        return self._base.vocab_size
-
-    @property
-    def context_size(self):
-        return self._base.context_size
 
     def _indicators(self, contexts):
         """Bigram, trigram and reorder indicators of next token x[j] after
@@ -206,48 +203,54 @@ class TunedScorer:
 
     def step_scores(self, contexts):
         contexts = np.asarray(contexts, dtype=np.int64)
-        out = self._base.step_scores(contexts)  # new log-probs, ours to scale
-        big, tri, reorder = self._indicators(contexts)
+        self.logp = self._base.step_scores(contexts)
+        self.indicators = self._indicators(contexts)
+        big, tri, reorder = self.indicators
         a = self.weights.alpha
-        out *= a[0]
+        out = self.logp * a[0]
         # a0 * f0 + a1 * f1 + ... added left to right, with f1 = 1
         out[:, self.x] = (out[:, self.x] + a[1] + a[2] * big + a[3] * tri
                           + a[4] * reorder)
         return out
 
-    def feature_sums(self, y):
-        """Position-summed feature vector of a complete candidate y, equal
-        bit for bit to sequence_features(y, x, params, hyper): the base
-        scorer scores the same (N, C) context windows, and the sums run in
-        position order."""
-        y = np.asarray(y, dtype=np.int64)
-        contexts = model.context_windows(y, self.context_size)
-        logp = self._base.step_scores(contexts)
-        # row i reads the column of a position j where x[j] = y[i], if any
-        at = y[:, None] == self.x
-        found = at.any(axis=1)
-        j = at.argmax(axis=1)
-        steps = np.arange(len(y))
-        per_step = np.column_stack(
-            [logp[steps, y], found,
-             (self._indicators(contexts)[:, steps, j] * found).T])
-        total = np.zeros(N_FEATURES)
-        for row in per_step:
-            total += row
-        return total
+
+def _carried_decode(scorer, config):
+    """beam_search on a TunedScorer, and the feature sums (n, 5) of its final
+    beam: a survivor's sums are its parent's plus the feature row the scorer
+    computed for its token at that step, added in position order from zeros,
+    as sequence_features adds them."""
+    pos = dict(zip(scorer.x.tolist(), range(len(scorer.x))))
+    row_of = {(): 0}  # parent tokens -> the parent's row in the step's block
+    sums = np.zeros((1, N_FEATURES))
+
+    def carry(step, beam):
+        nonlocal row_of, sums
+        tokens = [hyp.tokens[-1] for hyp in beam]
+        # j: a column of the token's type in x; -1, masked to 0, if x lacks it
+        k, tokens, j = np.array([[row_of[hyp.tokens[:-1]] for hyp in beam],
+                                 tokens, [pos.get(t, -1) for t in tokens]])
+        rows = np.empty((len(beam), N_FEATURES))
+        rows[:, 0] = scorer.logp[k, tokens]
+        rows[:, 1] = j >= 0
+        rows[:, 2:] = scorer.indicators[:, k, j].T * rows[:, 1:2]
+        sums = sums[k] + rows
+        row_of = {hyp.tokens: i for i, hyp in enumerate(beam)}
+
+    beam = beam_search(scorer, config, step_hook=carry)
+    return beam, sums
 
 
 def _decode_dev(params, hyper, dev, weights, config):
     """One decode of the dev set under `weights`: per (input ids,
-    references) pair, the input, its final beam (best first) and the
-    references. Scorers are not kept: each base Scorer holds a (1, V)
-    enc_logit for a bow or conv model, 160 KB at V=20k."""
+    references) pair, its final beam (best first), the beam's feature sums
+    (n, 5) and the references. Scorers are not kept: each base Scorer holds
+    a (1, V) enc_logit for a bow or conv model, 160 KB at V=20k."""
     if not dev:
         raise ValueError("dev set is empty")
     decoded = []
     for x, refs in dev:
         scorer = TunedScorer(model.Scorer(params, hyper, x), weights)
-        decoded.append((x, beam_search(scorer, config), refs))
+        decoded.append((*_carried_decode(scorer, config), refs))
     return decoded
 
 
@@ -259,7 +262,7 @@ def _instance_metric(vocab, hyp, refs, config, metric):
 def _dev_metric(decoded, vocab, config, metric):
     """Mean metric of each sentence's best hypothesis."""
     scores = [_instance_metric(vocab, beam[0], refs, config, metric)
-              for _, beam, refs in decoded]
+              for beam, _, refs in decoded]
     return sum(scores) / len(scores)
 
 
@@ -271,20 +274,14 @@ def dev_score(params, hyper, vocab, dev, weights, config, metric):
                        vocab, config, metric)
 
 
-def _kbest_lists(params, hyper, vocab, decoded, config, metric):
-    """Per decoded dev pair, its final beam's feature sums (n, 5) and
-    instance metrics (n values), best first. Scores are linear in alpha,
-    so line search over these lists is exact on the lists."""
-    lists = []
-    for x, beam, refs in decoded:
-        # the feature sums do not depend on the weights
-        scorer = TunedScorer(model.Scorer(params, hyper, x),
-                             FeatureWeights.identity())
-        lists.append((np.array([scorer.feature_sums(hyp.tokens)
-                                for hyp in beam]),
-                      [_instance_metric(vocab, hyp, refs, config, metric)
-                       for hyp in beam]))
-    return lists
+def _kbest_lists(vocab, decoded, config, metric):
+    """Per decoded dev pair, its final beam's feature sums (n, 5), as the
+    decode carried them, and instance metrics (n values), best first.
+    Scores are linear in alpha, so line search over these lists is exact on
+    the lists."""
+    return [(sums, [_instance_metric(vocab, hyp, refs, config, metric)
+                    for hyp in beam])
+            for beam, sums, refs in decoded]
 
 
 # weight vectors scored per block in the line search: the score temporaries
@@ -377,11 +374,12 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
     the weights, with the dev metric of the identity decode as `before` and
     that of the returned weights' decode as `after`."""
     dev = list(dev)
+    # a bad seed is refused before any decode
+    rng = np.random.default_rng(seed)
     weights = FeatureWeights.identity()
     decoded = _decode_dev(params, hyper, dev, weights, config)
     before = current = _dev_metric(decoded, vocab, config, metric)
-    lists = _kbest_lists(params, hyper, vocab, decoded, config, metric)
-    rng = np.random.default_rng(seed)
+    lists = _kbest_lists(vocab, decoded, config, metric)
     axes = [np.eye(N_FEATURES)[i] for i in range(N_FEATURES)]
     for _ in range(max_rounds):
         improved = False
@@ -396,8 +394,7 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
             score = _dev_metric(decoded, vocab, config, metric)
             if score > current + 1e-12:
                 weights, current = trial, score
-                lists = _kbest_lists(params, hyper, vocab, decoded,
-                                     config, metric)
+                lists = _kbest_lists(vocab, decoded, config, metric)
                 improved = True
         if not improved:
             break

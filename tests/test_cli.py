@@ -371,7 +371,8 @@ def test_divergent_training_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--max-norm", "nan"),
                                         ("--max-norm", "0"),
-                                        ("--lr", "nan"), ("--lr", "inf")])
+                                        ("--lr", "nan"), ("--lr", "inf"),
+                                        ("--seed", "-1")])
 def test_non_finite_training_settings_are_a_data_error(tmp_path, capsys,
                                                        flag, value):
     raw = tmp_path / "raw.tsv"
@@ -763,14 +764,38 @@ def test_tune_empty_dev_set_is_a_data_error(tmp_path, capsys):
     assert not wpath.exists()
 
 
+def test_tune_negative_seed_is_refused_before_decoding(tmp_path, capsys,
+                                                       monkeypatch):
+    search = tuning.beam_search
+    calls = collections.Counter()
+
+    def counting_search(scorer, config, step_hook=None):
+        calls["decodes"] += 1
+        return search(scorer, config, step_hook=step_hook)
+
+    monkeypatch.setattr(tuning, "beam_search", counting_search)
+    mpath, vpath = biased_model_files(tmp_path)
+    dev = tmp_path / "dev.txt"
+    dev.write_text("a b c\n", encoding="utf-8")
+    wpath = tmp_path / "weights.json"
+    assert main(["tune", "--model", str(mpath), "--vocab", str(vpath),
+                 "--dev", str(dev), "--refs", str(dev), "--N", "3",
+                 "--seed", "-1", "--out", str(wpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert calls["decodes"] == 0
+    assert not wpath.exists()
+
+
 def test_tune_decodes_each_weight_vector_once(tmp_path, capsys,
                                               monkeypatch):
     search, line_search = tuning.beam_search, tuning._line_search
     calls = collections.Counter()
 
-    def counting_search(scorer, config):
+    def counting_search(scorer, config, step_hook=None):
         calls["decodes"] += 1
-        return search(scorer, config)
+        return search(scorer, config, step_hook=step_hook)
 
     def counting_line_search(lists, alpha, direction):
         gamma, obj = line_search(lists, alpha, direction)

@@ -36,8 +36,6 @@ UNCALLED = {
 # stays
 UNSET = {
     "cli.main.argv": "the tests' seam: they call main with an argument list",
-    "decoding.beam_search.step_hook": "perfbench passes it through the "
-                                      "alias `search`",
     "numerics.finite_diff_grad.eps": "oracle: the central-difference step",
     "numerics.relative_grad_error.floor": "oracle: the error measure's floor",
 }

@@ -220,6 +220,8 @@ def test_config_validation():
         TrainConfig(hyperparams=hyper, max_epochs=1, batch_size=0)
     with pytest.raises(ValueError, match="patience"):
         TrainConfig(hyperparams=hyper, max_epochs=1, patience=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        TrainConfig(hyperparams=hyper, max_epochs=1, seed=-1)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(hyperparams=hyper, max_epochs=1, learning_rate=bad)

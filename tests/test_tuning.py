@@ -478,9 +478,9 @@ def test_kbest_feature_sums_equal_sequence_features(encoder, mode):
                for _ in range(2)]
         weights = FeatureWeights(rng.standard_normal(5))
         decoded = tuning._decode_dev(params, hyper, dev, weights, config)
-        lists = tuning._kbest_lists(params, hyper, vocab, decoded, config,
-                                    "rouge1")
-        for (x, beam, _), (feats, metrics) in zip(decoded, lists):
+        lists = tuning._kbest_lists(vocab, decoded, config, "rouge1")
+        for (x, _), (beam, _, _), (feats, metrics) in zip(dev, decoded,
+                                                          lists):
             assert len(feats) == len(metrics) == len(beam) > 1
             for hyp, row in zip(beam, feats):
                 assert np.array_equal(
@@ -513,9 +513,122 @@ def test_ragged_kbest_lists():
     params, hyper, dev, config = ragged_dev(vocab)
     decoded = tuning._decode_dev(params, hyper, dev,
                                  FeatureWeights.identity(), config)
-    lists = tuning._kbest_lists(params, hyper, vocab, decoded, config,
-                                "rouge1")
+    lists = tuning._kbest_lists(vocab, decoded, config, "rouge1")
     assert [len(metrics) for _, metrics in lists] == [4, 8]
+
+
+def recorded_decodes(monkeypatch):
+    """Per beam_search call the tuner makes, its scorer's input and the
+    survivors of each step, recorded after the tuner's own step_hook."""
+    search = tuning.beam_search
+    decodes = []
+
+    def recording_search(scorer, config, step_hook=None):
+        steps = []
+        decodes.append((scorer.x, steps))
+
+        def hook(step, beam):
+            step_hook(step, beam)
+            steps.append(list(beam))
+
+        return search(scorer, config, step_hook=hook)
+
+    monkeypatch.setattr(tuning, "beam_search", recording_search)
+    return decodes
+
+
+def replayed_feature_sums(params, hyper, x, steps):
+    """The final beam's feature sums from scratch: each step's context block
+    (its parents' contexts, in beam order) scored afresh by a base Scorer,
+    the scalar features of every survivor's token, summed per position."""
+    base = model.Scorer(params, hyper, x)
+    parents = [((), (model.START_ID,) * hyper.context_size)]
+    sums = {(): np.zeros(len(FEATURE_NAMES))}
+    for beam in steps:
+        logp = base.step_scores(np.array([ctx for _, ctx in parents]))
+        row_of = {tokens: r for r, (tokens, _) in enumerate(parents)}
+        new = {}
+        for hyp in beam:
+            r = row_of[hyp.tokens[:-1]]
+            token = hyp.tokens[-1]
+            new[hyp.tokens] = sums[hyp.tokens[:-1]] + features(
+                token, x, parents[r][1], logp[r, token])
+        sums = new
+        parents = [(hyp.tokens, hyp.context) for hyp in beam]
+    return np.array([sums[hyp.tokens] for hyp in steps[-1]])
+
+
+def carried_sums_case(name):
+    """(params, hyper, dev, config) of the ragged dev set, or of an
+    '<encoder>-<mode>' case; inputs hold 3 of the 5 letters, so abstractive
+    decodes also keep tokens that the input lacks."""
+    vocab = letter_vocab()
+    if name == "ragged":
+        return ragged_dev(vocab)
+    encoder, mode = name.split("-")
+    params, hyper = small_model(encoder, seed=7, vocab_size=len(vocab))
+    dev = [([3, 5, 6, 3, 5, 3], [["a"]]), ([7, 4, 4, 6, 7, 4], [["b"]])]
+    return params, hyper, dev, DecodeConfig(length=9, beam=5, mode=mode)
+
+
+@pytest.mark.parametrize("case", [f"{encoder}-{mode}"
+                                  for encoder in model.ENCODERS
+                                  for mode in MODES] + ["ragged"])
+def test_carried_feature_sums_equal_step_replay(monkeypatch, case):
+    params, hyper, dev, config = carried_sums_case(case)
+    rng = np.random.default_rng(500)
+    decodes = recorded_decodes(monkeypatch)
+    lacking = False
+    for weights in (FeatureWeights(rng.standard_normal(5)),
+                    FeatureWeights.identity()):
+        decodes.clear()
+        decoded = tuning._decode_dev(params, hyper, dev, weights, config)
+        assert len(decodes) == len(decoded) == len(dev)
+        for (x, steps), (beam, sums, _) in zip(decodes, decoded):
+            assert steps[-1] == beam
+            assert np.array_equal(
+                sums, replayed_feature_sums(params, hyper, x, steps))
+            # a unigram sum below N counts tokens the input lacks
+            lacking |= bool((sums[:, 1] < config.length).any())
+    assert lacking == (config.mode == "abstractive")
+    # under the identity weights the carried log-prob is the decoder's score
+    for beam, sums, _ in decoded:
+        assert sums[:, 0].tolist() == [hyp.score for hyp in beam]
+
+
+def test_mert_scores_only_inside_its_decodes(monkeypatch):
+    """One Scorer per decoded sentence, and every step_scores call comes
+    from inside a decode: the K-best lists re-score nothing."""
+    vocab = letter_vocab()
+    search = tuning.beam_search
+    init, step_scores = model.Scorer.__init__, model.Scorer.step_scores
+    calls = collections.Counter()
+
+    def counting_search(scorer, config, step_hook=None):
+        calls["decodes"] += 1
+        calls["inside"] += 1
+        try:
+            return search(scorer, config, step_hook=step_hook)
+        finally:
+            calls["inside"] -= 1
+
+    def counting_init(self, params, hyper, x):
+        calls["scorers"] += 1
+        init(self, params, hyper, x)
+
+    def checked_step_scores(self, contexts):
+        calls["outside"] += calls["inside"] != 1
+        return step_scores(self, contexts)
+
+    monkeypatch.setattr(tuning, "beam_search", counting_search)
+    monkeypatch.setattr(model.Scorer, "__init__", counting_init)
+    monkeypatch.setattr(model.Scorer, "step_scores", checked_step_scores)
+    params, hyper, dev, config = ragged_dev(vocab)
+    dev = dev + bow_dev(0, vocab)[2]
+    mert_tune(params, hyper, vocab, dev, config, seed=1, max_rounds=3)
+    assert calls["decodes"] > len(dev)
+    assert calls["scorers"] == calls["decodes"]
+    assert calls["outside"] == 0
 
 
 def test_mert_matches_oracle_tuner():
@@ -541,9 +654,9 @@ def test_mert_decodes_each_weight_vector_once(monkeypatch):
     search, line_search = tuning.beam_search, tuning._line_search
     calls = collections.Counter()
 
-    def counting_search(scorer, config):
+    def counting_search(scorer, config, step_hook=None):
         calls["decodes"] += 1
-        return search(scorer, config)
+        return search(scorer, config, step_hook=step_hook)
 
     def counting_line_search(lists, alpha, direction):
         gamma, obj = line_search(lists, alpha, direction)
