@@ -18,7 +18,7 @@ from .corpus import (Vocab, atomic_open, check_byte_cap, detokenize,
                      encode_pairs, preprocess, preprocess_pairs, read_lines,
                      read_pairs, read_token_pairs, require_aligned,
                      truncate_bytes, write_pairs)
-from .decoding import MODES, DecodeConfig, beam_search, finalize
+from .decoding import MODES, DecodeConfig, finalize, lockstep_search
 from .model import (ENCODERS, Hyperparams, Scorer, attention_trace,
                     load_model, read_model_header, save_model)
 from .rouge import (METRICS, evaluate_corpus, format_report, read_token_lines,
@@ -165,12 +165,12 @@ def _decode_input(args, trace, weights_path=None):
                          f"encoder, not {hyper.encoder!r}")
     weights = (FeatureWeights.load(weights_path)
                if weights_path is not None else None)
-    results = []
-    for tokens in _sentences(args.input):
-        x = vocab.encode(tokens)
-        base = Scorer(params, hyper, x)
-        scorer = base if weights is None else TunedScorer(base, weights)
-        results.append((x, beam_search(scorer, config)[0]))
+    xs = [vocab.encode(tokens) for tokens in _sentences(args.input)]
+    bases = (Scorer(params, hyper, x) for x in xs)
+    beams = lockstep_search(bases if weights is None else
+                            (TunedScorer(base, weights) for base in bases),
+                            config)
+    results = [(x, beam[0]) for x, beam in zip(xs, beams)]
     if trace is not None:
         _write_trace(trace, params, hyper, results)
     return vocab, config, results

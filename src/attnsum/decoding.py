@@ -1,11 +1,23 @@
 """Summary generation: beam search with hypothesis recombination, a greedy
 decoder, and an exact dynamic-programming decoder for toy vocabularies.
 
-All decoders consume a scorer bound to one input sentence. A scorer exposes
-`x` (the input ids), `vocab_size`, `context_size`, and
-`step_scores(contexts)` mapping a (K, C) block of contexts to (K, V)
-per-candidate scores; the model's log-probability scorer and the tuned
-log-linear scorer both fit this shape, so every decoder works with either.
+A scorer is bound to one input sentence. It exposes `x` (the input ids),
+`vocab_size`, `context_size`, and `step_scores(contexts)` mapping a (K, C)
+block of contexts to (K, V) per-candidate scores; the model's
+log-probability scorer and the tuned log-linear scorer both fit this shape,
+so every decoder works with either.
+
+`lockstep_search` beam-searches many sentences together, one beam step for
+all of them at a time, and `beam_search` is its one-sentence case. At each
+step, the sentences whose scorers have equal `stack_key`s and whose blocks
+have the same row count K share one call of the scorer class's
+`stacked_step_scores(scorers, contexts)`, (S, K, C) in and (S, K, V) out,
+with each block's scores bit for bit those of its own `step_scores`. A
+sentence that shares its step with none, or whose scorer has no
+`stack_key`, calls its `step_scores`. Ranking and recombination run per
+sentence. The sentences run in lockstep groups of at most
+LOGIT_BUDGET // (beam * V), so the scorers and the (S, K, V) scores held
+at once stay bounded.
 
 Scores are compared as exact floats. Beam search ranks a step's candidates
 in one total order: descending score, exact ties broken toward the
@@ -16,6 +28,7 @@ token sequences, are distinct: the order is total, and the decoded output
 depends on the scores alone. A NaN score ranks below every number.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +36,7 @@ import numpy as np
 
 from .corpus import (PAD_ID, START_ID, UNK_ID, check_byte_cap, detokenize,
                      truncate_bytes)
+from .model import LOGIT_BUDGET
 
 # viterbi_exact refuses state spaces larger than this
 VITERBI_STATE_CAP = 10 ** 6
@@ -131,42 +145,111 @@ def _ranked(flat, beam, cands, want):
         cut *= 2
 
 
-def beam_search(scorer, config, step_hook=None):
-    """Approximate K-best decoding. Each step expands every surviving
-    hypothesis with every candidate, recombines hypotheses that share an
-    identical context window (keeping the best-scoring one), and retains the
-    K best survivors; the K expansions are scored as one batch. Returns the
-    final hypotheses ranked best-first (fewer than K when the context space
-    is exhausted). step_hook(step, beam) observes each step's survivors."""
-    cands = candidate_ids(scorer, config)
-    ids = cands.tolist()
-    # a run of ids (the abstractive default) is read as a slice, not gathered
-    run = ids[-1] + 1 - ids[0] == len(ids)
-    cols = slice(ids[0], ids[-1] + 1) if run else cands
-    beam = [_initial(scorer.context_size)]
-    for step in range(config.length):
-        ctx = np.array([h.context for h in beam], dtype=np.int64)
-        flat = np.add(scorer.step_scores(ctx)[:, cols],
-                      np.array([h.score for h in beam])[:, None])
+class Search:
+    """One sentence's beam search: its scorer, its position `index` in the
+    decoded sequence, the beam, and per hypothesis of the beam the row of
+    its parent in the block that the last step scored (`parents`)."""
+
+    def __init__(self, index, scorer, config):
+        self.index = index
+        self.scorer = scorer
+        # a scorer without a stack_key shares no step
+        self.key = getattr(scorer, "stack_key", self)
+        self.cands = candidate_ids(scorer, config)
+        self.ids = self.cands.tolist()
+        # a run of ids (the abstractive default) is read as a slice, not
+        # gathered
+        run = self.ids[-1] + 1 - self.ids[0] == len(self.ids)
+        self.cols = slice(self.ids[0], self.ids[-1] + 1) if run \
+            else self.cands
+        self.beam = [_initial(scorer.context_size)]
+        self.parents = []
+
+    def advance(self, scores, width):
+        """Expand every hypothesis with every candidate, scored by the
+        (K, V) block scores, recombine hypotheses that share a context
+        window (keeping the best-scoring one), and keep the `width` best."""
+        flat = np.add(scores[:, self.cols],
+                      np.array([h.score for h in self.beam])[:, None])
+        ids, n_c = self.ids, len(self.ids)
         seen = set()
-        next_beam = []
-        for idx in _ranked(flat, beam, cands, config.beam):
-            k, ci = divmod(idx, len(ids))
-            parent = beam[k]
+        beam, parents = [], []
+        for idx in _ranked(flat, self.beam, self.cands, width):
+            k, ci = divmod(idx, n_c)
+            parent = self.beam[k]
             token = ids[ci]
             context = parent.context[1:] + (token,)
             if context in seen:
                 continue
             seen.add(context)
-            next_beam.append(Hypothesis(tokens=parent.tokens + (token,),
-                                        score=float(flat[k, ci]),
-                                        context=context))
-            if len(next_beam) == config.beam:
+            beam.append(Hypothesis(tokens=parent.tokens + (token,),
+                                   score=float(flat[k, ci]),
+                                   context=context))
+            parents.append(k)
+            if len(beam) == width:
                 break
-        beam = next_beam
-        if step_hook is not None:
-            step_hook(step, beam)
-    return beam
+        self.beam, self.parents = beam, parents
+
+
+def _step(group, width):
+    """Score the blocks of the searches that share a step and advance each.
+    The scores are freed on return, before the next step allocates its
+    own."""
+    ctx = np.array([[h.context for h in search.beam] for search in group],
+                   dtype=np.int64)
+    first = group[0].scorer
+    scores = ([first.step_scores(ctx[0])] if len(group) == 1 else
+              first.stacked_step_scores([search.scorer for search in group],
+                                        ctx))
+    for search, block in zip(group, scores):
+        search.advance(block, width)
+
+
+def _lockstep(searches, config, step_hook):
+    """Run the searches of one lockstep group, a step for all at a time."""
+    for step in range(config.length):
+        groups = {}
+        for search in searches:
+            groups.setdefault((len(search.beam), search.key), []).append(
+                search)
+        for group in groups.values():
+            _step(group, config.beam)
+            if step_hook is not None:
+                step_hook(step, group)
+
+
+def lockstep_search(scorers, config, step_hook=None):
+    """Approximate K-best decoding of each scorer's sentence, all of a
+    lockstep group's sentences one step at a time (see the module
+    docstring). Returns each sentence's final hypotheses, best first (fewer
+    than K when the context space is exhausted), in the order of
+    `scorers`, an iterable drawn one group at a time. step_hook(step,
+    group) observes each step's survivors: group lists the Search of each
+    sentence that shared that step's scores, in the order of the stacked
+    block."""
+    scorers = iter(scorers)
+    beams = []
+    for first in scorers:
+        size = max(1, LOGIT_BUDGET // (config.beam * first.vocab_size))
+        searches = [Search(len(beams) + i, scorer, config)
+                    for i, scorer in enumerate(
+                        itertools.chain([first],
+                                        itertools.islice(scorers, size - 1)))]
+        _lockstep(searches, config, step_hook)
+        beams += [search.beam for search in searches]
+    return beams
+
+
+def beam_search(scorer, config, step_hook=None):
+    """lockstep_search of one sentence: its final hypotheses, best first.
+    Each step expands every surviving hypothesis with every candidate,
+    recombines hypotheses that share an identical context window (keeping
+    the best-scoring one), and retains the K best survivors; the K
+    expansions are scored as one batch. step_hook(step, beam) observes
+    each step's survivors."""
+    hook = None if step_hook is None else (
+        lambda step, group: step_hook(step, group[0].beam))
+    return lockstep_search([scorer], config, hook)[0]
 
 
 def greedy(scorer, config):

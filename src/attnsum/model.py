@@ -11,7 +11,9 @@ The distribution is computed in one place, in two stages:
     cache for the backward pass.
 forward (training, loss, cond_dist) runs both per batch. Scorer (decoding,
 attention_trace, enc_attention) runs precompute once per input sentence and
-encode per decode step.
+encode per decode step. Scorer.stacked_step_scores runs one decode step for
+the blocks of several sentences at once: their precomputed state stacked,
+(S, K, C) contexts in, (S, K, V) scores out.
 
 Batches come from step tables. step_table(pairs, hyper) builds a corpus's
 StepTable once: every step's (C,) context and target, pair after pair, and
@@ -26,12 +28,17 @@ equal-length outputs, encode and its backward pass run each product once,
 stacked over rows: the attention products, and the bow/conv rows' share of
 the logits and its gradient; otherwise (ragged rows, or the one row of a
 decode step) they run 2-D products one row at a time. The stacked products
-agree with the per-row ones bit for bit.
+agree with the per-row ones bit for bit. Training's dense products (U, V,
+W, P) run over the whole batch. A decode step of several sentences instead
+gives encode its contexts as (P, K, C), K per input row, and every product
+then runs stacked per row: numpy runs one gemm per row's (K, .) slice, so
+a row's scores have the bits that a step of that row alone gives them.
 
 Shape conventions used throughout:
   V vocab size, D embedding size, H hidden size, C context length,
   M input sentence length, P distinct input sentences in a batch,
-  T prediction steps in a batch, K contexts scored in one decode step.
+  T prediction steps in a batch, K contexts scored in one decode step,
+  S sentences sharing one decode step.
 
 Parameter tensors (names as stored): E (D,V) context embedding, U (H,C*D),
 b_U (H,), V (V,H), b_V (V,), and per encoder kind: W (V,H), b_W (V,),
@@ -365,9 +372,11 @@ def _conv_rows_backward(params, hyper, x_rows, cache, denc_rows, grad):
 
 
 def _context_embed(table, ctx):
-    """Stack embedding columns of a (T,C) context block into (T, C*D) rows."""
-    t, c = ctx.shape
-    return table[:, ctx].transpose(1, 2, 0).reshape(t, c * table.shape[0])
+    """Stack embedding columns of a (..., C) context block into (..., C*D)
+    rows."""
+    emb = table[:, ctx]
+    return emb.transpose(*range(1, emb.ndim), 0).reshape(ctx.shape[:-1]
+                                                          + (-1,))
 
 
 def _run_blocks(lengths, *steps):
@@ -376,15 +385,19 @@ def _run_blocks(lengths, *steps):
     steps view[cut] of each of the (T, .) arrays `steps`.
 
     lengths is the list of each input row's step count, the steps coming
-    row after row. When there is more than one row and all have the same
-    count n (a batch of equal-length outputs), there is one block of all
-    rows and the views are the steps stacked (P, n, .): reshapes, so writes
-    into them land in the C-contiguous arrays given. Otherwise each row is
-    a block, a row index and a slice of steps, with 2-D products, as in a
-    decode step. The stacked products give the per-row products' bits.
+    row after row, or None for a stacked decode step, whose steps come
+    (P, K, .) already: one block of all rows, and the views are the steps.
+    When there is more than one row and all have the same count n (a batch
+    of equal-length outputs), there is one block of all rows and the views
+    are the steps stacked (P, n, .): reshapes, so writes into them land in
+    the C-contiguous arrays given. Otherwise each row is a block, a row
+    index and a slice of steps, with 2-D products, as in a decode step of
+    one sentence. The stacked products give the per-row products' bits.
     Plain Python: a decode step has one row, where numpy's per-call
     overhead would cost more than the work.
     """
+    if lengths is None:
+        return [(slice(None), slice(None))], steps
     if len(lengths) > 1 and lengths.count(lengths[0]) == len(lengths):
         return ([(slice(None), slice(None))],
                 [a.reshape(len(lengths), lengths[0], -1) for a in steps])
@@ -418,7 +431,9 @@ def precompute(params, hyper, x_rows):
 def encode(params, hyper, pre, ctx, lengths):
     """Logits (T,V) of the steps with contexts ctx (T,C), where the list
     lengths (P,) counts the steps of each input row of `pre`, row after row;
-    returns (logits, cache for backward).
+    returns (logits, cache for backward). With lengths None, ctx is a
+    stacked decode step's (P, K, C), K contexts per input row, and the
+    logits and cache arrays are stacked (P, K, .) likewise.
 
     For the attention encoder the cache holds each step's attention row
     `attn` (T,M) and encoding `encvec` (T,H).
@@ -433,7 +448,7 @@ def encode(params, hyper, pre, ctx, lengths):
         ctx_g = _context_embed(params["G"], ctx)
         query = ctx_g @ params["P"].T  # (T, H)
         xe, xbar = pre["xe"], pre["xbar"]
-        attn = np.empty((len(ctx), xe.shape[1]))
+        attn = np.empty(ctx.shape[:-1] + xe.shape[1:2])
         encvec = np.empty_like(query)
         blocks, (q, a, e) = _run_blocks(lengths, query, attn, encvec)
         for rows, cut in blocks:
@@ -601,21 +616,20 @@ class Scorer:
 
     precompute runs once, in the constructor, so a decode step only runs
     encode on its K candidate contexts: one mini-batch of matrix products.
+    Scorers with equal `stack_key`s (one model, and for the attention
+    encoder one input length) can score their blocks of equal K in one
+    stacked step, stacked_step_scores.
     """
 
     def __init__(self, params, hyper, x):
         self.params = params
         self.hyper = hyper
         self.x = _input_ids(x, hyper.vocab_size)
+        self.vocab_size = hyper.vocab_size
+        self.context_size = hyper.context_size
         self._pre = precompute(params, hyper, self.x[None, :])
-
-    @property
-    def vocab_size(self):
-        return self.hyper.vocab_size
-
-    @property
-    def context_size(self):
-        return self.hyper.context_size
+        self.stack_key = (id(params), hyper, len(self.x)
+                          if hyper.encoder == "attention" else None)
 
     def _encode(self, contexts):
         """encode() of contexts (K, C) against this sentence."""
@@ -629,6 +643,21 @@ class Scorer:
         """Log p(next | context, x) for contexts (K, C): shape (K, V), a new
         array that the caller owns."""
         return log_softmax_rows(self._encode(contexts)[0])
+
+    @staticmethod
+    def stacked_step_scores(scorers, contexts):
+        """step_scores of S scorers that share a stack_key, each on its own
+        block of the contexts (S, K, C), in one step: (S, K, V), each block
+        with the bits of its own step_scores."""
+        first = scorers[0]
+        contexts = _check_ids(contexts, first.vocab_size, "context ids")
+        if contexts.ndim != 3 or contexts.shape[2] != first.context_size:
+            raise ValueError("contexts must have shape (S, K, C)")
+        # the state encode reads: bow/conv enc_logit, attention xe and xbar
+        pre = {key: np.concatenate([s._pre[key] for s in scorers])
+               for key in ("enc_logit", "xe", "xbar") if key in first._pre}
+        return log_softmax_rows(encode(first.params, first.hyper, pre,
+                                       contexts, None)[0])
 
     def attention(self, contexts):
         """Attention rows p (K, M) for contexts (K, C); attention encoder only."""

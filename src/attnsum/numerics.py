@@ -31,10 +31,11 @@ def softmax_rows(m):
 
 
 def log_softmax_rows(m):
-    """Row-wise log-softmax of the float64 (rows, cols) array m, computed in
-    m's own buffer: m - max - log(sum(exp(m - max))). Returns m."""
-    m -= m.max(axis=1, keepdims=True)
-    m -= np.log(np.exp(m).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax of the float64 (rows, cols) or stacked
+    (..., rows, cols) array m, computed in m's own buffer:
+    m - max - log(sum(exp(m - max))). Returns m."""
+    m -= m.max(axis=-1, keepdims=True)
+    m -= np.log(np.exp(m).sum(axis=-1, keepdims=True))
     return m
 
 

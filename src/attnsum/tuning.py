@@ -22,12 +22,16 @@ corpus metric (a mean of per-sentence scores) can be evaluated exactly on
 every linear region. Each distinct weight vector is decoded once: that
 pass over the dev set gives its K-best lists (per hypothesis, the feature
 sums and the instance metric), whose top entries give the true dev metric
-and whose entries feed the next line search. The decode carries the sums
-along the beam from the rows the TunedScorer computed at each step, so the
-lists hold the features the decoder ranked by, as Och's line search
-assumes. A move is only accepted when the trial weights' own decode
-strictly improves the true metric, so the tuner never returns weights worse
-than its initialization.
+and whose entries feed the next line search. The dev set decodes in
+lockstep (decoding.lockstep_search): at each beam step, the sentences of
+one input length whose blocks have the same row count K share one stacked
+model step and one tuned-feature pass, and one pass per such group carries
+the sums along the beams from the rows that step computed. So the lists
+hold the features the decoder ranked by, as Och's line search assumes, with
+the bits that a decode of each sentence alone gives them. Each hypothesis
+of a kept decode is scored by the metric once. A move is only accepted
+when the trial weights' own decode strictly improves the true metric, so
+the tuner never returns weights worse than its initialization.
 
 The tuner also returns the dev metric it measured at the identity weights
 and at the weights it returns, so reporting them costs no decode.
@@ -45,7 +49,8 @@ import numpy as np
 
 from . import model
 from .corpus import atomic_open, text_file
-from .decoding import beam_search
+# beam_search stays bound because perfbench wraps it as tuning.beam_search
+from .decoding import beam_search, lockstep_search  # noqa: F401
 from .rouge import EvalInstance, instance_score
 
 FEATURE_NAMES = ("log_prob", "unigram", "bigram", "trigram", "reorder")
@@ -162,12 +167,37 @@ def tuned_score(y, x, weights, params, hyper):
     return float(weights.alpha @ sequence_features(y, x, params, hyper))
 
 
+def _indicators(x, first, contexts):
+    """Bigram, trigram and reorder indicators of next token x[s, j] after
+    each context of contexts (S, K, C), for S inputs x (S, M) and first
+    (S, M), the position of the first occurrence of each x[s, j]: a
+    (3, S, K, M) array of 0/1, equal on the columns of one token type."""
+    is_prev1 = x[:, None, :] == contexts[:, :, -1:]
+    # a one-token window has start padding before it, as in features():
+    # one (S, 1, M) row for every context
+    is_prev2 = x[:, None, :] == (contexts[:, :, -2:-1]
+                                 if contexts.shape[2] > 1 else model.START_ID)
+    ind = np.zeros((3,) + is_prev1.shape)
+    # a match at position j holds for x[s, j] wherever it occurs: mark it
+    # at x[s, j]'s first position and read every position from there
+    s, rows, j = np.nonzero(is_prev1[..., :-1])
+    ind[0, s, rows, first[s, j + 1]] = 1.0
+    s, rows, j = np.nonzero(is_prev2[..., :-2] & is_prev1[..., 1:-1])
+    ind[1, s, rows, first[s, j + 2]] = 1.0
+    last_prev1 = np.where(is_prev1, np.arange(x.shape[1]), -1).max(axis=2)
+    ind[2] = first[:, None, :] < last_prev1[..., None]
+    return np.take_along_axis(ind, first[None, :, None, :], axis=3)
+
+
 class TunedScorer:
     """Drop-in per-step scorer for the decoders: returns alpha-weighted
     feature scores instead of log-probabilities. A score is a0 * logp, plus
     the indicator terms on the columns of x; their work scales with the
-    input length M, not the vocabulary. `logp` (K, V) and `indicators`
-    (3, K, M) hold the last step's unscaled features until the next step."""
+    input length M, not the vocabulary. Tuned scorers of one base model,
+    one weight vector and one input length share a stacked step. `logp`
+    (S, K, V) and `indicators` (3, S, K, M) hold the unscaled features of
+    the last step that scored this sentence, stacked over the S sentences
+    that shared it (S = 1 for step_scores), until the next step."""
 
     def __init__(self, base, weights):
         self._base = base
@@ -179,79 +209,79 @@ class TunedScorer:
                                        return_inverse=True)
         # the position of the first occurrence of each x[j]
         self._first = first[pos_type]
-
-    def _indicators(self, contexts):
-        """Bigram, trigram and reorder indicators of next token x[j] after
-        each context of contexts (K, C): a (3, K, M) array of 0/1, equal on
-        the columns of one token type."""
-        x, first = self.x, self._first
-        is_prev1 = x == contexts[:, -1:]
-        # a one-token window has start padding before it, as in features():
-        # one (M,) row for every context
-        is_prev2 = x == (contexts[:, -2:-1] if contexts.shape[1] > 1
-                         else model.START_ID)
-        ind = np.zeros((3,) + is_prev1.shape)
-        # a match at position j holds for x[j] wherever it occurs: mark it
-        # at x[j]'s first position and read every position from there
-        rows, j = np.nonzero(is_prev1[:, :-1])
-        ind[0, rows, first[j + 1]] = 1.0
-        rows, j = np.nonzero(is_prev2[..., :-2] & is_prev1[:, 1:-1])
-        ind[1, rows, first[j + 2]] = 1.0
-        last_prev1 = np.where(is_prev1, np.arange(len(x)), -1).max(axis=1)
-        ind[2] = first < last_prev1[:, None]
-        return ind[:, :, first]
+        self.stack_key = (base.stack_key, id(weights), len(self.x))
 
     def step_scores(self, contexts):
         contexts = np.asarray(contexts, dtype=np.int64)
-        self.logp = self._base.step_scores(contexts)
-        self.indicators = self._indicators(contexts)
-        big, tri, reorder = self.indicators
-        a = self.weights.alpha
-        out = self.logp * a[0]
+        return self.stacked_step_scores([self], contexts[None])[0]
+
+    @staticmethod
+    def stacked_step_scores(scorers, contexts):
+        """step_scores of S tuned scorers that share a stack_key, each on
+        its own block of the contexts (S, K, C): (S, K, V)."""
+        bases = [scorer._base for scorer in scorers]
+        logp = bases[0].stacked_step_scores(bases, contexts)
+        x = np.array([scorer.x for scorer in scorers])
+        ind = _indicators(x, np.array([scorer._first for scorer in scorers]),
+                          contexts)
+        for scorer in scorers:
+            scorer.logp, scorer.indicators = logp, ind
+        big, tri, reorder = ind
+        a = scorers[0].weights.alpha
+        out = logp * a[0]
         # a0 * f0 + a1 * f1 + ... added left to right, with f1 = 1
-        out[:, self.x] = (out[:, self.x] + a[1] + a[2] * big + a[3] * tri
-                          + a[4] * reorder)
+        cols = x[:, None, :]
+        np.put_along_axis(out, cols, np.take_along_axis(out, cols, axis=2)
+                          + a[1] + a[2] * big + a[3] * tri + a[4] * reorder,
+                          axis=2)
         return out
 
 
-def _carried_decode(scorer, config):
-    """beam_search on a TunedScorer, and the feature sums (n, 5) of its final
-    beam: a survivor's sums are its parent's plus the feature row the scorer
-    computed for its token at that step, added in position order from zeros,
-    as sequence_features adds them."""
-    pos = dict(zip(scorer.x.tolist(), range(len(scorer.x))))
-    row_of = {(): 0}  # parent tokens -> the parent's row in the step's block
-    sums = np.zeros((1, N_FEATURES))
-
-    def carry(step, beam):
-        nonlocal row_of, sums
-        tokens = [hyp.tokens[-1] for hyp in beam]
-        # j: a column of the token's type in x; -1, masked to 0, if x lacks it
-        k, tokens, j = np.array([[row_of[hyp.tokens[:-1]] for hyp in beam],
-                                 tokens, [pos.get(t, -1) for t in tokens]])
-        rows = np.empty((len(beam), N_FEATURES))
-        rows[:, 0] = scorer.logp[k, tokens]
-        rows[:, 1] = j >= 0
-        rows[:, 2:] = scorer.indicators[:, k, j].T * rows[:, 1:2]
-        sums = sums[k] + rows
-        row_of = {hyp.tokens: i for i, hyp in enumerate(beam)}
-
-    beam = beam_search(scorer, config, step_hook=carry)
-    return beam, sums
-
-
 def _decode_dev(params, hyper, dev, weights, config):
-    """One decode of the dev set under `weights`: per (input ids,
-    references) pair, its final beam (best first), the beam's feature sums
-    (n, 5) and the references. Scorers are not kept: each base Scorer holds
-    a (1, V) enc_logit for a bow or conv model, 160 KB at V=20k."""
+    """One decode of the dev set under `weights`, in lockstep: per (input
+    ids, references) pair, its final beam (best first), the beam's feature
+    sums (n, 5) and the references. A survivor's sums are its parent's plus
+    the feature row that the tuned step computed for its token, added in
+    position order from zeros, as sequence_features adds them; one pass
+    per step group carries them for all of the group's sentences. Scorers
+    are not kept past their lockstep group: each base Scorer holds a (1, V)
+    enc_logit for a bow or conv model, 160 KB at V=20k."""
     if not dev:
         raise ValueError("dev set is empty")
-    decoded = []
-    for x, refs in dev:
-        scorer = TunedScorer(model.Scorer(params, hyper, x), weights)
-        decoded.append((*_carried_decode(scorer, config), refs))
-    return decoded
+    # per sentence index: token -> a column of x holding it, and the beam's
+    # feature sums
+    cols, sums = {}, {}
+
+    def carry(step, group):
+        if step == 0:
+            for search in group:
+                x = search.scorer.x.tolist()
+                cols[search.index] = dict(zip(x, range(len(x))))
+                sums[search.index] = np.zeros((1, N_FEATURES))
+        sizes = [len(search.beam) for search in group]
+        s = np.repeat(np.arange(len(group)), sizes)
+        # per survivor: its parent's row k in its sentence's block, its
+        # token, and j, a column of the token's type in x; -1, masked to 0,
+        # if x lacks it
+        k, tokens, j = np.array([
+            (k, hyp.tokens[-1], cols[search.index].get(hyp.tokens[-1], -1))
+            for search in group
+            for k, hyp in zip(search.parents, search.beam)]).T
+        scorer = group[0].scorer
+        rows = np.empty((len(s), N_FEATURES))
+        rows[:, 0] = scorer.logp[s, k, tokens]
+        rows[:, 1] = j >= 0
+        rows[:, 2:] = scorer.indicators[:, s, k, j].T * rows[:, 1:2]
+        rows += np.stack([sums[search.index] for search in group])[s, k]
+        for search, part in zip(group, np.split(rows,
+                                                np.cumsum(sizes)[:-1])):
+            sums[search.index] = part
+
+    scorers = (TunedScorer(model.Scorer(params, hyper, x), weights)
+               for x, _ in dev)
+    beams = lockstep_search(scorers, config, step_hook=carry)
+    return [(beam, sums[i], refs)
+            for i, (beam, (_, refs)) in enumerate(zip(beams, dev))]
 
 
 def _instance_metric(vocab, hyp, refs, config, metric):
@@ -259,29 +289,35 @@ def _instance_metric(vocab, hyp, refs, config, metric):
     return instance_score(inst, metric, byte_cap=config.byte_cap)
 
 
-def _dev_metric(decoded, vocab, config, metric):
-    """Mean metric of each sentence's best hypothesis."""
-    scores = [_instance_metric(vocab, beam[0], refs, config, metric)
-              for beam, _, refs in decoded]
-    return sum(scores) / len(scores)
+def _best_metrics(decoded, vocab, config, metric):
+    """The instance metric of each sentence's best hypothesis."""
+    return [_instance_metric(vocab, beam[0], refs, config, metric)
+            for beam, _, refs in decoded]
+
+
+def _dev_metric(best):
+    """The mean of the best hypotheses' metrics."""
+    return sum(best) / len(best)
 
 
 def dev_score(params, hyper, vocab, dev, weights, config, metric):
     """True corpus metric of the tuned decoder on (input ids, references)
     dev pairs; this is the quantity mert_tune maximizes. It decodes the dev
     set afresh: the oracle that mert_tune's `before` and `after` equal."""
-    return _dev_metric(_decode_dev(params, hyper, dev, weights, config),
-                       vocab, config, metric)
+    return _dev_metric(_best_metrics(
+        _decode_dev(params, hyper, dev, weights, config), vocab, config,
+        metric))
 
 
-def _kbest_lists(vocab, decoded, config, metric):
+def _kbest_lists(vocab, decoded, best, config, metric):
     """Per decoded dev pair, its final beam's feature sums (n, 5), as the
-    decode carried them, and instance metrics (n values), best first.
-    Scores are linear in alpha, so line search over these lists is exact on
-    the lists."""
-    return [(sums, [_instance_metric(vocab, hyp, refs, config, metric)
-                    for hyp in beam])
-            for beam, sums, refs in decoded]
+    decode carried them, and instance metrics (n values), best first; the
+    first entry's metric is taken from best (_best_metrics), so each
+    hypothesis is scored once. Scores are linear in alpha, so line search
+    over these lists is exact on the lists."""
+    return [(sums, [top] + [_instance_metric(vocab, hyp, refs, config, metric)
+                            for hyp in beam[1:]])
+            for (beam, sums, refs), top in zip(decoded, best)]
 
 
 # weight vectors scored per block in the line search: the score temporaries
@@ -374,12 +410,14 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
     the weights, with the dev metric of the identity decode as `before` and
     that of the returned weights' decode as `after`."""
     dev = list(dev)
-    # a bad seed is refused before any decode
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     weights = FeatureWeights.identity()
     decoded = _decode_dev(params, hyper, dev, weights, config)
-    before = current = _dev_metric(decoded, vocab, config, metric)
-    lists = _kbest_lists(vocab, decoded, config, metric)
+    best = _best_metrics(decoded, vocab, config, metric)
+    before = current = _dev_metric(best)
+    lists = _kbest_lists(vocab, decoded, best, config, metric)
     axes = [np.eye(N_FEATURES)[i] for i in range(N_FEATURES)]
     for _ in range(max_rounds):
         improved = False
@@ -391,10 +429,11 @@ def mert_tune(params, hyper, vocab, dev, config, metric="rouge1", seed=0,
                 continue
             trial = FeatureWeights(weights.alpha + gamma * direction)
             decoded = _decode_dev(params, hyper, dev, trial, config)
-            score = _dev_metric(decoded, vocab, config, metric)
+            best = _best_metrics(decoded, vocab, config, metric)
+            score = _dev_metric(best)
             if score > current + 1e-12:
                 weights, current = trial, score
-                lists = _kbest_lists(vocab, decoded, config, metric)
+                lists = _kbest_lists(vocab, decoded, best, config, metric)
                 improved = True
         if not improved:
             break

@@ -265,6 +265,43 @@ def test_decode_matches_in_memory_search(tmp_path, capsys):
     assert dec.read_text(encoding="utf-8").splitlines() == want
 
 
+@pytest.mark.parametrize("encoder", model.ENCODERS)
+def test_decode_equals_each_line_decoded_alone(tmp_path, capsys, encoder):
+    """`decode` steps its lines in lockstep; its output is byte-identical
+    to a beam_search of each line alone, plain and under --weights, over
+    lines of ragged lengths, some of equal length, so that some share
+    their steps."""
+    mpath, vpath, params, hyper, vocab = save_toy_model(tmp_path, encoder)
+    words = ["alpha", "bravo", "carol", "delta", "eagle", "zulu"]
+    rng = np.random.default_rng(8)
+    lines = [" ".join(rng.choice(words, size=n))
+             for n in (5, 3, 5, 1, 5, 7, 3, 5)]
+    inp = tmp_path / "input.txt"
+    inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    wpath = tmp_path / "weights.json"
+    weights = FeatureWeights([0.7, 0.4, -0.3, 0.2, 0.1])
+    weights.save(wpath)
+    for mode in ("abstractive", "extractive"):
+        config = DecodeConfig(length=4, beam=3, mode=mode)
+        for extra, tuned in (([], None), (["--weights", str(wpath)],
+                                          weights)):
+            dec = tmp_path / "decoded.txt"
+            assert main(["decode", "--model", str(mpath), "--vocab",
+                         str(vpath), "--input", str(inp), "--N", "4",
+                         "--beam", "3", "--mode", mode, "--out", str(dec)]
+                        + extra) == 0
+            capsys.readouterr()
+            want = []
+            for line in lines:
+                scorer = model.Scorer(params, hyper,
+                                      vocab.encode(line.split()))
+                if tuned is not None:
+                    scorer = TunedScorer(scorer, tuned)
+                want.append(finalize(beam_search(scorer, config)[0], config,
+                                     vocab) + "\n")
+            assert dec.read_bytes() == "".join(want).encode("utf-8")
+
+
 def test_decode_is_deterministic_and_parallel_safe(tmp_path, capsys):
     _, voc, out = run_pipeline(tmp_path)
     inp = tmp_path / "input.txt"
@@ -766,14 +803,15 @@ def test_tune_empty_dev_set_is_a_data_error(tmp_path, capsys):
 
 def test_tune_negative_seed_is_refused_before_decoding(tmp_path, capsys,
                                                        monkeypatch):
-    search = tuning.beam_search
+    search = tuning.lockstep_search
     calls = collections.Counter()
 
-    def counting_search(scorer, config, step_hook=None):
-        calls["decodes"] += 1
-        return search(scorer, config, step_hook=step_hook)
+    def counting_search(scorers, config, step_hook=None):
+        scorers = list(scorers)
+        calls["decodes"] += len(scorers)
+        return search(scorers, config, step_hook=step_hook)
 
-    monkeypatch.setattr(tuning, "beam_search", counting_search)
+    monkeypatch.setattr(tuning, "lockstep_search", counting_search)
     mpath, vpath = biased_model_files(tmp_path)
     dev = tmp_path / "dev.txt"
     dev.write_text("a b c\n", encoding="utf-8")
@@ -783,26 +821,27 @@ def test_tune_negative_seed_is_refused_before_decoding(tmp_path, capsys,
                  "--seed", "-1", "--out", str(wpath)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == "error: seed must be nonnegative\n"
     assert calls["decodes"] == 0
     assert not wpath.exists()
 
 
 def test_tune_decodes_each_weight_vector_once(tmp_path, capsys,
                                               monkeypatch):
-    search, line_search = tuning.beam_search, tuning._line_search
+    search, line_search = tuning.lockstep_search, tuning._line_search
     calls = collections.Counter()
 
-    def counting_search(scorer, config, step_hook=None):
-        calls["decodes"] += 1
-        return search(scorer, config, step_hook=step_hook)
+    def counting_search(scorers, config, step_hook=None):
+        scorers = list(scorers)
+        calls["decodes"] += len(scorers)
+        return search(scorers, config, step_hook=step_hook)
 
     def counting_line_search(lists, alpha, direction):
         gamma, obj = line_search(lists, alpha, direction)
         calls["moves"] += gamma != 0.0
         return gamma, obj
 
-    monkeypatch.setattr(tuning, "beam_search", counting_search)
+    monkeypatch.setattr(tuning, "lockstep_search", counting_search)
     monkeypatch.setattr(tuning, "_line_search", counting_line_search)
     mpath, vpath = biased_model_files(tmp_path)
     dev = tmp_path / "dev.txt"

@@ -3,17 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+from attnsum import decoding
 from attnsum.corpus import PAD_ID, START_ID, UNK_ID, Vocab
 from attnsum.decoding import (
+    MODES,
     DecodeConfig,
     Hypothesis,
     beam_search,
     candidate_ids,
     finalize,
     greedy,
+    lockstep_search,
     viterbi_exact,
 )
-from attnsum.model import Hyperparams, Scorer, cond_dist, init_params
+from attnsum.model import (ENCODERS, Hyperparams, Scorer, cond_dist,
+                           init_params)
 
 
 def tiny_scorer(encoder="attention", seed=0, vocab=12, m=5, context=2):
@@ -493,3 +497,144 @@ def test_finalize_byte_cap():
     cut = finalize(hyp, DecodeConfig(length=3, beam=1, byte_cap=9), vocab)
     assert cut == "word caf"
     assert len(cut.encode("utf-8")) <= 9
+
+
+def hex_beams(beams):
+    """Each beam as (tokens, score as hex, context) triples: equal only
+    when every score has the same bits, NaN included."""
+    return [[(h.tokens, h.score.hex(), h.context) for h in beam]
+            for beam in beams]
+
+
+class SharedSteps:
+    """A scorer that shares its steps: `inner`'s scores, with one stack_key
+    for all, and a stacked step that scores each block by its own scorer
+    and records how many sentences shared it."""
+
+    def __init__(self, inner, sizes):
+        self.inner = inner
+        self.x = inner.x
+        self.vocab_size = inner.vocab_size
+        self.context_size = inner.context_size
+        self.stack_key = "shared"
+        self.sizes = sizes
+
+    def step_scores(self, contexts):
+        return self.inner.step_scores(contexts)
+
+    @staticmethod
+    def stacked_step_scores(scorers, contexts):
+        scorers[0].sizes.append(len(scorers))
+        return np.array([s.inner.step_scores(block)
+                         for s, block in zip(scorers, contexts)])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lockstep_equals_one_sentence_search_on_tied_and_nan_scores(mode):
+    """Sentences of tie-heavy and NaN-holding scores, stepped together,
+    against each one's own beam_search: every step's beam as the hook sees
+    it and the final beams, scores as hex."""
+    sizes = []
+    for vocab in (8, 20, 60):
+        for beam in (1, 3, 8):
+            for case in range(4):
+                rng = np.random.default_rng([vocab, beam, case])
+                inner = []
+                for i in range(6):
+                    x = rng.integers(3, vocab, size=int(rng.integers(1, 9)))
+                    inner.append(
+                        NaNScorer(vocab, 2, case * 10 + i, x, 0.3)
+                        if case % 2 else
+                        LevelScorer(vocab, 1 + case, 3, case * 10 + i, x,
+                                    context_free=i % 3 == 0))
+                config = DecodeConfig(length=4, beam=beam, mode=mode)
+                want = []
+                for scorer in inner:
+                    steps = []
+                    beam_search(scorer, config, step_hook=lambda s, b: (
+                        steps.append(hex_beams([b])[0])))
+                    want.append(steps)
+                got = [[] for _ in inner]
+
+                def hook(step, group):
+                    for one in group:
+                        got[one.index].append(hex_beams([one.beam])[0])
+
+                beams = lockstep_search(
+                    [SharedSteps(scorer, sizes) for scorer in inner], config,
+                    step_hook=hook)
+                assert got == want, (vocab, beam, case)
+                assert hex_beams(beams) == [steps[-1] for steps in want]
+    # extractive beams hold as many contexts as their inputs allow, so
+    # some sentences step apart from the rest
+    assert max(sizes) == 6
+    assert (min(sizes) < 6) == (mode == "extractive")
+
+
+def lockstep_model(encoder):
+    """A seeded model whose weights are scaled up so that the beam's
+    choices depend on them."""
+    hyper = Hyperparams(vocab_size=40, embed_dim=5, hidden_dim=7,
+                        context_size=3, encoder=encoder, conv_layers=2,
+                        window=1)
+    params = init_params(hyper, 5)
+    for name in params.names():
+        params[name] = 40.0 * params[name]
+    return params, hyper
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+@pytest.mark.parametrize("mode", MODES)
+def test_lockstep_equals_one_sentence_search(encoder, mode, monkeypatch):
+    """Model scorers of ragged input lengths, one of whose beams holds
+    fewer than `beam` contexts for its first steps, decoded together and
+    each alone: equal beams and score bits, with one lockstep group and
+    with a LOGIT_BUDGET that splits them into groups of two."""
+    params, hyper = lockstep_model(encoder)
+    rng = np.random.default_rng(17)
+    xs = [rng.integers(3, 40, size=m) for m in (9, 9, 4, 9, 4, 12, 9)]
+    xs.insert(3, np.array([3, 4, 3, 4]))
+    config = DecodeConfig(length=5, beam=6, mode=mode)
+    want = hex_beams([beam_search(Scorer(params, hyper, x), config)
+                      for x in xs])
+    sizes, groups = [], []
+    stacked, lockstep = Scorer.stacked_step_scores, decoding._lockstep
+
+    def recording_stacked(scorers, contexts):
+        sizes.append(len(scorers))
+        return stacked(scorers, contexts)
+
+    def recording_lockstep(searches, config, step_hook):
+        groups.append([search.index for search in searches])
+        return lockstep(searches, config, step_hook)
+
+    monkeypatch.setattr(Scorer, "stacked_step_scores",
+                        staticmethod(recording_stacked))
+    monkeypatch.setattr(decoding, "_lockstep", recording_lockstep)
+    for budget in (decoding.LOGIT_BUDGET, 2 * config.beam * hyper.vocab_size):
+        monkeypatch.setattr(decoding, "LOGIT_BUDGET", budget)
+        sizes.clear()
+        groups.clear()
+        got = lockstep_search((Scorer(params, hyper, x) for x in xs), config)
+        assert hex_beams(got) == want
+        group = min(len(xs), budget // (config.beam * hyper.vocab_size))
+        assert groups == [list(range(lo, min(lo + group, len(xs))))
+                          for lo in range(0, len(xs), group)]
+        assert max(sizes) == min(group, 4 if encoder == "attention" else 8)
+
+
+def test_one_sentence_group_steps_through_step_scores(monkeypatch):
+    """A sentence that shares its step with none is scored by its own
+    step_scores, so a one-sentence decode's step is traced as before."""
+    params, hyper = lockstep_model("attention")
+    calls = []
+    step_scores = Scorer.step_scores
+
+    def counting(self, contexts):
+        calls.append(len(contexts))
+        return step_scores(self, contexts)
+
+    monkeypatch.setattr(Scorer, "step_scores", counting)
+    beam_search(Scorer(params, hyper, [3, 4, 5, 6]),
+                DecodeConfig(length=3, beam=4))
+    assert calls == [1, 4, 4]

@@ -603,6 +603,47 @@ def test_step_scores_match_out_of_place_log_softmax(k, vocab):
         assert same_bits(got, out_of_place_log_softmax(logits))
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("vocab", [200, 5000])
+def test_stacked_matmul_gives_each_slice_its_2d_product(k, vocab):
+    """A decode step of S sentences runs its dense products stacked,
+    (S, K, H) @ (H, V), and holds each sentence's rows to the bits of its
+    own (K, H) @ (H, V) product. That needs numpy to run one product per
+    slice; one that folded the stack into an (S*K, H) gemm would change
+    bits, at K=1 above all."""
+    rng = np.random.default_rng(k * vocab)
+    w = rng.normal(size=(vocab, 100))
+    for s in (2, 10):
+        a = rng.normal(size=(s, k, 100))
+        stacked = a @ w.T
+        assert all(same_bits(stacked[i], a[i] @ w.T) for i in range(s))
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_stacked_step_scores_match_each_scorers_own(encoder):
+    """One stacked step of S sentences against each sentence's own
+    step_scores, bit for bit, at K=1 and K=4. Attention scorers share a
+    step only at one input length; the others at any."""
+    hyper = Hyperparams(vocab_size=300, embed_dim=6, hidden_dim=10,
+                        context_size=3, encoder=encoder, conv_layers=2,
+                        window=1)
+    params = init_params(hyper, 41)
+    for name in params.names():
+        params[name] = 30.0 * params[name]
+    rng = np.random.default_rng(41)
+    lengths = (9, 9, 9) if encoder == "attention" else (9, 4, 12)
+    scorers = [Scorer(params, hyper, rng.integers(3, 300, size=m))
+               for m in lengths]
+    assert len({s.stack_key for s in scorers}) == 1
+    for k in (1, 4):
+        contexts = rng.integers(0, 300, size=(len(scorers), k, 3))
+        got = Scorer.stacked_step_scores(scorers, contexts)
+        for scorer, block, row in zip(scorers, contexts, got):
+            assert same_bits(row, scorer.step_scores(block))
+    if encoder == "attention":
+        assert Scorer(params, hyper, [3] * 8).stack_key != scorers[0].stack_key
+
+
 @pytest.mark.parametrize("encoder", ENCODERS)
 def test_forward_logp_matches_out_of_place_log_softmax(encoder):
     hyper = tiny_hyper(encoder)

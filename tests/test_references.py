@@ -36,6 +36,8 @@ UNCALLED = {
 # stays
 UNSET = {
     "cli.main.argv": "the tests' seam: they call main with an argument list",
+    "decoding.beam_search.step_hook": "perfbench's traced decode counts "
+                                      "every step through it",
     "numerics.finite_diff_grad.eps": "oracle: the central-difference step",
     "numerics.relative_grad_error.floor": "oracle: the error measure's floor",
 }

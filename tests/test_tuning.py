@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from attnsum import model, tuning
+from attnsum import decoding, model, tuning
 from attnsum.corpus import Vocab
 from attnsum.decoding import MODES, DecodeConfig, beam_search
 from attnsum.rouge import EvalInstance, instance_score
@@ -478,7 +478,8 @@ def test_kbest_feature_sums_equal_sequence_features(encoder, mode):
                for _ in range(2)]
         weights = FeatureWeights(rng.standard_normal(5))
         decoded = tuning._decode_dev(params, hyper, dev, weights, config)
-        lists = tuning._kbest_lists(vocab, decoded, config, "rouge1")
+        best = tuning._best_metrics(decoded, vocab, config, "rouge1")
+        lists = tuning._kbest_lists(vocab, decoded, best, config, "rouge1")
         for (x, _), (beam, _, _), (feats, metrics) in zip(dev, decoded,
                                                           lists):
             assert len(feats) == len(metrics) == len(beam) > 1
@@ -513,27 +514,34 @@ def test_ragged_kbest_lists():
     params, hyper, dev, config = ragged_dev(vocab)
     decoded = tuning._decode_dev(params, hyper, dev,
                                  FeatureWeights.identity(), config)
-    lists = tuning._kbest_lists(vocab, decoded, config, "rouge1")
+    best = tuning._best_metrics(decoded, vocab, config, "rouge1")
+    lists = tuning._kbest_lists(vocab, decoded, best, config, "rouge1")
     assert [len(metrics) for _, metrics in lists] == [4, 8]
 
 
 def recorded_decodes(monkeypatch):
-    """Per beam_search call the tuner makes, its scorer's input and the
-    survivors of each step, recorded after the tuner's own step_hook."""
-    search = tuning.beam_search
+    """Per sentence that the tuner's lockstep decodes decode, its scorer's
+    input and the survivors of each step, recorded after the tuner's own
+    step_hook."""
+    search = tuning.lockstep_search
     decodes = []
 
-    def recording_search(scorer, config, step_hook=None):
-        steps = []
-        decodes.append((scorer.x, steps))
+    def recording_search(scorers, config, step_hook=None):
+        first = len(decodes)
 
-        def hook(step, beam):
-            step_hook(step, beam)
-            steps.append(list(beam))
+        def recorded():
+            for scorer in scorers:
+                decodes.append((scorer.x, []))
+                yield scorer
 
-        return search(scorer, config, step_hook=hook)
+        def hook(step, group):
+            step_hook(step, group)
+            for one in group:
+                decodes[first + one.index][1].append(list(one.beam))
 
-    monkeypatch.setattr(tuning, "beam_search", recording_search)
+        return search(recorded(), config, step_hook=hook)
+
+    monkeypatch.setattr(tuning, "lockstep_search", recording_search)
     return decodes
 
 
@@ -596,19 +604,103 @@ def test_carried_feature_sums_equal_step_replay(monkeypatch, case):
         assert sums[:, 0].tolist() == [hyp.score for hyp in beam]
 
 
+@pytest.mark.parametrize("encoder", model.ENCODERS)
+@pytest.mark.parametrize("mode", MODES)
+def test_lockstep_dev_decode_equals_one_sentence_decodes(encoder, mode,
+                                                         monkeypatch):
+    """A dev set of ragged input lengths decoded in lockstep against each
+    sentence decoded alone, and against beam_search on its TunedScorer:
+    beams with their score bits, and the carried sums as hex, under random
+    and identity weights, in one lockstep group and in groups of two."""
+    params, hyper = small_model(encoder, seed=7, vocab_size=8)
+    dev = [([3, 5, 6, 3, 5, 3], [["a"]]), ([7, 4, 4, 6, 7, 4], [["b"]]),
+           ([3, 4, 3, 4], [["a"]]), ([5, 6, 7], [["c"]]),
+           ([6, 7, 3, 4, 5, 6], [["d"]]), ([4, 3, 4, 3], [["b"]])]
+    config = DecodeConfig(length=6, beam=5, mode=mode)
+    sizes = []
+    stacked = TunedScorer.stacked_step_scores
+
+    def recording_stacked(scorers, contexts):
+        sizes.append(len(scorers))
+        return stacked(scorers, contexts)
+
+    monkeypatch.setattr(TunedScorer, "stacked_step_scores",
+                        staticmethod(recording_stacked))
+    rng = np.random.default_rng(510)
+    for weights in (FeatureWeights(rng.standard_normal(5)),
+                    FeatureWeights.identity()):
+        alone = [tuning._decode_dev(params, hyper, [pair], weights,
+                                    config)[0] for pair in dev]
+        want = [([(h.tokens, h.score.hex(), h.context) for h in beam],
+                 [v.hex() for v in sums.ravel()])
+                for beam, sums, _ in alone]
+        for (x, _), (beam, _, _) in zip(dev, alone):
+            base = model.Scorer(params, hyper, x)
+            assert beam_search(TunedScorer(base, weights), config) == beam
+        for budget in (model.LOGIT_BUDGET,
+                       2 * config.beam * hyper.vocab_size):
+            monkeypatch.setattr(decoding, "LOGIT_BUDGET", budget)
+            got = [([(h.tokens, h.score.hex(), h.context) for h in beam],
+                    [v.hex() for v in sums.ravel()])
+                   for beam, sums, _ in tuning._decode_dev(
+                       params, hyper, dev, weights, config)]
+            assert got == want
+    # the three six-token inputs share steps
+    assert max(sizes) == 3
+
+
+def test_mert_scores_each_kept_beam_once(monkeypatch):
+    """instance_score runs once per hypothesis of a decode whose K-best
+    lists the tuner keeps, and once per sentence of a decode that it
+    rejects."""
+    vocab = letter_vocab()
+    decode_dev, kbest_lists = tuning._decode_dev, tuning._kbest_lists
+    score = tuning.instance_score
+    decodes = []  # [entries decoded, instance_score calls, kept]
+
+    def recording_decode_dev(*args):
+        decoded = decode_dev(*args)
+        decodes.append([sum(len(beam) for beam, _, _ in decoded), 0, False])
+        return decoded
+
+    def recording_kbest_lists(*args):
+        decodes[-1][2] = True
+        return kbest_lists(*args)
+
+    def counting_score(*args, **kwargs):
+        decodes[-1][1] += 1
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "_decode_dev", recording_decode_dev)
+    monkeypatch.setattr(tuning, "_kbest_lists", recording_kbest_lists)
+    monkeypatch.setattr(tuning, "instance_score", counting_score)
+    params, hyper, dev, config = ragged_dev(vocab)
+    dev = dev + bow_dev(0, vocab)[2]
+    mert_tune(params, hyper, vocab, dev, config, seed=1, max_rounds=3)
+    kept = [calls == entries for entries, calls, k in decodes if k]
+    rejected = [calls == len(dev) for _, calls, k in decodes if not k]
+    assert len(kept) > 1 and rejected
+    assert all(kept) and all(rejected)
+
+
 def test_mert_scores_only_inside_its_decodes(monkeypatch):
     """One Scorer per decoded sentence, and every step_scores call comes
     from inside a decode: the K-best lists re-score nothing."""
     vocab = letter_vocab()
-    search = tuning.beam_search
+    search = tuning.lockstep_search
     init, step_scores = model.Scorer.__init__, model.Scorer.step_scores
+    stacked = model.Scorer.stacked_step_scores
     calls = collections.Counter()
 
-    def counting_search(scorer, config, step_hook=None):
-        calls["decodes"] += 1
+    def counting_search(scorers, config, step_hook=None):
+        def counted():
+            for scorer in scorers:
+                calls["decodes"] += 1
+                yield scorer
+
         calls["inside"] += 1
         try:
-            return search(scorer, config, step_hook=step_hook)
+            return search(counted(), config, step_hook=step_hook)
         finally:
             calls["inside"] -= 1
 
@@ -620,9 +712,15 @@ def test_mert_scores_only_inside_its_decodes(monkeypatch):
         calls["outside"] += calls["inside"] != 1
         return step_scores(self, contexts)
 
-    monkeypatch.setattr(tuning, "beam_search", counting_search)
+    def checked_stacked(scorers, contexts):
+        calls["outside"] += calls["inside"] != 1
+        return stacked(scorers, contexts)
+
+    monkeypatch.setattr(tuning, "lockstep_search", counting_search)
     monkeypatch.setattr(model.Scorer, "__init__", counting_init)
     monkeypatch.setattr(model.Scorer, "step_scores", checked_step_scores)
+    monkeypatch.setattr(model.Scorer, "stacked_step_scores",
+                        staticmethod(checked_stacked))
     params, hyper, dev, config = ragged_dev(vocab)
     dev = dev + bow_dev(0, vocab)[2]
     mert_tune(params, hyper, vocab, dev, config, seed=1, max_rounds=3)
@@ -651,12 +749,13 @@ def test_mert_matches_oracle_tuner():
 
 def test_mert_decodes_each_weight_vector_once(monkeypatch):
     vocab = letter_vocab()
-    search, line_search = tuning.beam_search, tuning._line_search
+    search, line_search = tuning.lockstep_search, tuning._line_search
     calls = collections.Counter()
 
-    def counting_search(scorer, config, step_hook=None):
-        calls["decodes"] += 1
-        return search(scorer, config, step_hook=step_hook)
+    def counting_search(scorers, config, step_hook=None):
+        scorers = list(scorers)
+        calls["decodes"] += len(scorers)
+        return search(scorers, config, step_hook=step_hook)
 
     def counting_line_search(lists, alpha, direction):
         gamma, obj = line_search(lists, alpha, direction)
@@ -664,7 +763,7 @@ def test_mert_decodes_each_weight_vector_once(monkeypatch):
         calls["moves"] += gamma != 0.0
         return gamma, obj
 
-    monkeypatch.setattr(tuning, "beam_search", counting_search)
+    monkeypatch.setattr(tuning, "lockstep_search", counting_search)
     monkeypatch.setattr(tuning, "_line_search", counting_line_search)
     params, hyper, dev, config = ragged_dev(vocab)
     dev = dev + bow_dev(0, vocab)[2]
