@@ -589,7 +589,7 @@ def test_lockstep_equals_one_sentence_search(encoder, mode, monkeypatch):
     """Model scorers of ragged input lengths, one of whose beams holds
     fewer than `beam` contexts for its first steps, decoded together and
     each alone: equal beams and score bits, with one lockstep group and
-    with a LOGIT_BUDGET that splits them into groups of two."""
+    with a LOCKSTEP_BUDGET that splits them into groups of two."""
     params, hyper = lockstep_model(encoder)
     rng = np.random.default_rng(17)
     xs = [rng.integers(3, 40, size=m) for m in (9, 9, 4, 9, 4, 12, 9)]
@@ -611,8 +611,9 @@ def test_lockstep_equals_one_sentence_search(encoder, mode, monkeypatch):
     monkeypatch.setattr(Scorer, "stacked_step_scores",
                         staticmethod(recording_stacked))
     monkeypatch.setattr(decoding, "_lockstep", recording_lockstep)
-    for budget in (decoding.LOGIT_BUDGET, 2 * config.beam * hyper.vocab_size):
-        monkeypatch.setattr(decoding, "LOGIT_BUDGET", budget)
+    for budget in (decoding.LOCKSTEP_BUDGET,
+                   2 * config.beam * hyper.vocab_size):
+        monkeypatch.setattr(decoding, "LOCKSTEP_BUDGET", budget)
         sizes.clear()
         groups.clear()
         got = lockstep_search((Scorer(params, hyper, x) for x in xs), config)
@@ -638,3 +639,39 @@ def test_one_sentence_group_steps_through_step_scores(monkeypatch):
     beam_search(Scorer(params, hyper, [3, 4, 5, 6]),
                 DecodeConfig(length=3, beam=4))
     assert calls == [1, 4, 4]
+
+
+@pytest.mark.parametrize("beam", [1, 8])
+def test_large_vocabularies_decode_one_sentence_per_group(beam,
+                                                          monkeypatch):
+    """With the default LOCKSTEP_BUDGET, a vocabulary just above
+    LOCKSTEP_BUDGET // (2 * beam) puts every sentence in a group of its
+    own, scored by its own step_scores; just at that size, groups of two
+    share stacked steps."""
+    groups, stacked = [], []
+    lockstep = decoding._lockstep
+
+    def recording_lockstep(searches, config, step_hook):
+        groups.append([search.index for search in searches])
+        return lockstep(searches, config, step_hook)
+
+    def no_stacking(scorers, contexts):
+        stacked.append(len(scorers))
+        return [scorer.step_scores(block)
+                for scorer, block in zip(scorers, contexts)]
+
+    monkeypatch.setattr(decoding, "_lockstep", recording_lockstep)
+    monkeypatch.setattr(Scorer, "stacked_step_scores",
+                        staticmethod(no_stacking))
+    config = DecodeConfig(length=2, beam=beam)
+    half = decoding.LOCKSTEP_BUDGET // (2 * beam)
+    for vocab, want in ((half + 1, [[0], [1], [2]]), (half, [[0, 1], [2]])):
+        hyper = Hyperparams(vocab_size=vocab, embed_dim=2, hidden_dim=2,
+                            context_size=2, encoder="bow")
+        params = init_params(hyper, 0)
+        groups.clear()
+        stacked.clear()
+        lockstep_search((Scorer(params, hyper, [3, 4, 5]) for _ in range(3)),
+                        config)
+        assert groups == want
+        assert stacked == ([] if len(want[0]) == 1 else [2] * 2)

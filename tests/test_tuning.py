@@ -637,9 +637,9 @@ def test_lockstep_dev_decode_equals_one_sentence_decodes(encoder, mode,
         for (x, _), (beam, _, _) in zip(dev, alone):
             base = model.Scorer(params, hyper, x)
             assert beam_search(TunedScorer(base, weights), config) == beam
-        for budget in (model.LOGIT_BUDGET,
+        for budget in (decoding.LOCKSTEP_BUDGET,
                        2 * config.beam * hyper.vocab_size):
-            monkeypatch.setattr(decoding, "LOGIT_BUDGET", budget)
+            monkeypatch.setattr(decoding, "LOCKSTEP_BUDGET", budget)
             got = [([(h.tokens, h.score.hex(), h.context) for h in beam],
                     [v.hex() for v in sums.ravel()])
                    for beam, sums, _ in tuning._decode_dev(
