@@ -186,7 +186,8 @@ def _indicators(x, first, contexts):
     ind[1, s, rows, first[s, j + 2]] = 1.0
     last_prev1 = np.where(is_prev1, np.arange(x.shape[1]), -1).max(axis=2)
     ind[2] = first[:, None, :] < last_prev1[..., None]
-    return np.take_along_axis(ind, first[None, :, None, :], axis=3)
+    return ind[:, np.arange(len(x))[:, None, None],
+               np.arange(contexts.shape[1])[None, :, None], first[:, None, :]]
 
 
 class TunedScorer:
@@ -220,7 +221,9 @@ class TunedScorer:
         """step_scores of S tuned scorers that share a stack_key, each on
         its own block of the contexts (S, K, C): (S, K, V)."""
         bases = [scorer._base for scorer in scorers]
-        logp = bases[0].stacked_step_scores(bases, contexts)
+        # a lone sentence's step is the base scorer's own 2-D step
+        logp = (bases[0].step_scores(contexts[0])[None] if len(bases) == 1
+                else bases[0].stacked_step_scores(bases, contexts))
         x = np.array([scorer.x for scorer in scorers])
         ind = _indicators(x, np.array([scorer._first for scorer in scorers]),
                           contexts)
@@ -229,11 +232,12 @@ class TunedScorer:
         big, tri, reorder = ind
         a = scorers[0].weights.alpha
         out = logp * a[0]
-        # a0 * f0 + a1 * f1 + ... added left to right, with f1 = 1
-        cols = x[:, None, :]
-        np.put_along_axis(out, cols, np.take_along_axis(out, cols, axis=2)
-                          + a[1] + a[2] * big + a[3] * tri + a[4] * reorder,
-                          axis=2)
+        # a0 * f0 + a1 * f1 + ... added left to right, with f1 = 1, on the
+        # cells (s, k, x[s, j])
+        at = (np.arange(len(x))[:, None, None],
+              np.arange(contexts.shape[1])[None, :, None], x[:, None, :])
+        out[at] = (out[at] + a[1] + a[2] * big + a[3] * tri
+                   + a[4] * reorder)
         return out
 
 
